@@ -115,6 +115,11 @@ def _fuzz_one(task):
     }
 
 
+def pool_size(jobs: int) -> int:
+    """Worker count for `fuzz --jobs`: at least one, at most one per CPU."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def cmd_fuzz(args) -> int:
     if args.count < 1 or args.s < 2:
         raise InputError("fuzz needs --count >= 1 and --s >= 2")
@@ -123,8 +128,9 @@ def cmd_fuzz(args) -> int:
         for i in range(args.count)
     ]
     started = time.time()
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    jobs = pool_size(args.jobs)
+    if jobs > 1:
+        with Pool(jobs) as pool:
             results = pool.map(_fuzz_one, tasks)
     else:
         results = [_fuzz_one(t) for t in tasks]
@@ -301,10 +307,6 @@ def main(argv=None) -> int:
     except InvariantError as e:
         print(f"internal invariant failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-def entry():  # console-script shim
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

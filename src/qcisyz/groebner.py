@@ -4,6 +4,11 @@ Everything is computed on module elements; an ideal is the rank-one case.
 Syzygies, membership certificates and Groebner bases come out of a single
 run on the block module F + S^r with generators g_i + e_i, under an order
 in which every F-term beats every bookkeeping term.
+
+Saturation at the irrelevant ideal is a single Bayer-Stillman pass: after a
+linear change of coordinates that moves a line missing every associated
+point to z = 0, the grevlex basis divided by its powers of z is a basis of
+the saturation (see `saturate`).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 
+from .errors import InputError
 from .modules import FreeGradedModule, ModuleElement, poly_to_element
 from .orders import (
     GREVLEX,
@@ -306,9 +312,6 @@ class SubmoduleGB:
             return nf.is_zero()
         return nf.is_zero()
 
-    def contains_all(self, vs) -> bool:
-        return all(self.contains(v) for v in vs)
-
     @property
     def syzygies(self):
         if self._block is None:
@@ -338,23 +341,9 @@ class SubmoduleGB:
         assert self.ambient.rank == 1
         return tuple(sorted(m for (_, m) in (e.lead(self.keyfn)[0] for e in self.basis)))
 
-    def is_unit_ideal(self) -> bool:
-        return (0, 0, 0) in set(self.lead_monomials())
-
     def zero_dimensional(self) -> bool:
         """True iff V(I) is finite in P^2 (quotient Krull dim <= 1)."""
         return self._eventual_hf() is not None
-
-    def standard_monomial_count(self, t: int) -> int:
-        """Number of degree-t monomials outside the lead ideal."""
-        from .linalg import monomials_of_degree
-
-        leads = self.lead_monomials()
-        count = 0
-        for m in monomials_of_degree(t):
-            if not any(mono_divides(g, m) for g in leads):
-                count += 1
-        return count
 
     def _eventual_hf(self):
         """Eventual Hilbert function of S/I, or None if it keeps growing.
@@ -363,9 +352,7 @@ class SubmoduleGB:
         polynomial (quadratic in t); three equal consecutive values pin it
         to a constant.
         """
-        num = hilbert_numerator(self.lead_monomials())
-        t = len(num)
-        v = [self.standard_monomial_count(t + i) for i in range(3)]
+        v = _hilbert_polynomial_values([self.lead_monomials()])[0]
         if v[0] == v[1] == v[2]:
             return v[0]
         return None
@@ -410,6 +397,22 @@ def hilbert_numerator(lead_monomials):
     return rec(_interreduce_monomials(tuple(sorted(lead_monomials))))
 
 
+def _hilbert_polynomial_values(lead_sets):
+    """For each monomial ideal, HF(S/in) at four consecutive degrees past
+    every Hilbert numerator degree, where it agrees with the Hilbert
+    polynomial; three values fix a polynomial of degree <= 2."""
+    from .linalg import monomials_of_degree
+
+    t0 = max(len(hilbert_numerator(m)) for m in lead_sets)
+    return [
+        [
+            sum(1 for m in monomials_of_degree(t) if not any(mono_divides(g, m) for g in leads))
+            for t in range(t0, t0 + 4)
+        ]
+        for leads in lead_sets
+    ]
+
+
 def _interreduce_monomials(gens):
     out = []
     for g in sorted(set(gens), key=mono_deg):
@@ -442,19 +445,6 @@ def colon(gens, g: Polynomial):
         q = s.component(last)
         if not q.is_zero():
             out.append(q)
-    return _prune_ideal_gens(out, [])
-
-
-def ideal_intersection(I, J):
-    """Generators of the intersection of two ideals."""
-    sub = SubmoduleGB(list(I) + list(J), syzygies=True)
-    out = []
-    for s in sub.syzygies:
-        h = Polynomial.zero(I[0].field)
-        for i, f in enumerate(I):
-            h = h + f * s.component(i)
-        if not h.is_zero():
-            out.append(h)
     return _prune_ideal_gens(out, [])
 
 
@@ -494,30 +484,73 @@ def submodule_quotient(M, N):
     return PresentedModule(sub.syz_ambient, relations)
 
 
-def saturate(gens, by=None):
-    """Generators of (I : by^inf); by defaults to the irrelevant ideal.
+def _shear(p: Polynomial, a, b) -> Polynomial:
+    """p(x, y, z + a*x + b*y)."""
+    field = p.field
+    line = Polynomial.from_terms(field, [((0, 0, 1), 1), ((1, 0, 0), a), ((0, 1, 0), b)])
+    out, power = Polynomial.zero(field), Polynomial.constant(field, 1)
+    for k in range(p.degree() + 1):
+        part = {(i, j, 0): c for (i, j, e), c in p.terms.items() if e == k}
+        out, power = out + Polynomial(field, part) * power, power * line
+    return out
 
-    Saturation at (x, y, z) is the intersection of the saturations at the
-    three variables, each computed by iterating the colon until it
-    stabilizes.
+
+def _line_candidates(field):
+    """(a, b) for the lines z + a*x + b*y, small coefficients first.
+
+    Over GF(p) every one of the p^2 such lines comes exactly once; over the
+    rationals the sequence does not end.
     """
-    gens = list(gens)
+    p = field.prime
+    n = 0
+    while p is None or n <= 2 * (p - 1):
+        for a in range(n + 1):
+            if p is None or (a < p and n - a < p):
+                yield field.coerce(a), field.coerce(n - a)
+        n += 1
+
+
+def _strip_z(p: Polynomial) -> Polynomial:
+    """p divided by the largest power of z that divides it."""
+    k = min(m[2] for m in p.terms)
+    return Polynomial(p.field, {(m[0], m[1], m[2] - k): c for m, c in p.terms.items()})
+
+
+def saturate(gens):
+    """Generators of the saturation of I = (gens) at (x, y, z).
+
+    One pass after Bayer and Stillman: if a linear form l lies in no
+    associated prime of I other than the irrelevant one, I^sat = I : l^inf.
+    Lines l = z + a*x + b*y are tried in a fixed order; z |-> z - a*x - b*y
+    moves l to z, and in grevlex in(I' : z) = in(I') : z, so dividing each
+    element of the grevlex basis of I' by its largest power of z gives a
+    basis of I' : z^inf. A line is accepted when S/(I' : z^inf) has the
+    Hilbert polynomial of S/I, which fails exactly when l passes through an
+    associated point. Before that, a line is tested on the binary forms
+    I + (l) restricts to: l is a nonzerodivisor modulo I^sat iff
+    HP(S/(I + l))(t) = HP(S/I)(t) - HP(S/I)(t - 1). The result is moved
+    back and returned as a minimal subset of its reduced grevlex basis.
+    """
+    gens = [g for g in gens if not g.is_zero()]
     field = gens[0].field
-    if by is None:
-        by = [Polynomial.variable(field, i) for i in range(3)]
-    parts = []
-    for v in by:
-        cur = gens
-        while True:
-            nxt = colon(cur, v)
-            gb = groebner_basis(cur)
-            if gb.contains_all(nxt):
-                break
-            cur = nxt
-        parts.append(cur)
-    result = parts[0]
-    for p in parts[1:]:
-        if ideal_equal(result, p):
+    z = Polynomial.variable(field, 2)
+    gb = groebner_basis(gens)
+    leads = gb.lead_monomials()
+    for a, b in _line_candidates(field):
+        moved = [_shear(g, field.neg(a), field.neg(b)) for g in gens]
+        cut = groebner_basis(moved + [z]).lead_monomials()
+        hp, hp_cut = _hilbert_polynomial_values([leads, cut])
+        if any(hp_cut[i] != hp[i] - hp[i - 1] for i in (1, 2, 3)):
             continue
-        result = ideal_intersection(result, p)
-    return _prune_ideal_gens(result, [])
+        moved_gb = gb if moved == gens else groebner_basis(moved)
+        colon_leads = [(m[0], m[1], 0) for m in moved_gb.lead_monomials()]
+        hp, hp_colon = _hilbert_polynomial_values([leads, colon_leads])
+        if hp_colon != hp:
+            continue
+        sat = [_shear(_strip_z(e.component(0)), a, b) for e in moved_gb.basis]
+        reduced = [e.component(0) for e in groebner_basis(sat).basis]
+        return _prune_ideal_gens(reduced, [])
+    raise InputError(
+        f"no line z + a*x + b*y over GF({field.prime}) avoids the subscheme; "
+        "the saturation needs a larger field"
+    )

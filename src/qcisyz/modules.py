@@ -154,11 +154,6 @@ def poly_to_element(p: Polynomial, ambient=None) -> ModuleElement:
     return ModuleElement(ambient, p.field, {(0, m): c for m, c in p.terms.items()})
 
 
-def element_to_poly(e: ModuleElement) -> Polynomial:
-    assert e.ambient.rank == 1
-    return e.component(0)
-
-
 class PresentedModule:
     """A quotient of a free graded module by explicit homogeneous relations."""
 

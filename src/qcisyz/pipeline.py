@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from .errors import InputError, InvariantError
 from .fields import PrimeField
 from .groebner import (
     SubmoduleGB,
@@ -33,14 +34,6 @@ from .resolution import (
     resolution_hilbert_function,
     sigma_table_reachable,
 )
-
-
-class InputError(ValueError):
-    """Invalid analysis input (exit code 2 at the CLI)."""
-
-
-class InvariantError(AssertionError):
-    """An internal cross-check failed (exit code 3 at the CLI)."""
 
 
 @dataclass(frozen=True)

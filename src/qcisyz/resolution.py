@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .errors import InvariantError
 from .linalg import minimal_generators
 from .modules import FreeGradedModule, ModuleElement, PresentedModule, poly_to_element
 from .orders import mono_deg
@@ -21,8 +22,8 @@ from .poly import Polynomial
 MAX_LENGTH = 3  # Hilbert's syzygy theorem in three variables
 
 
-class ResolutionError(AssertionError):
-    pass
+class ResolutionError(InvariantError):
+    """A computed resolution is not a minimal complex (exit code 3 at the CLI)."""
 
 
 class BettiTable:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .errors import InputError, InvariantError
 from .fields import QQ, PrimeField
 from .poly import Polynomial
 from .resolution import BettiTable
@@ -66,9 +67,7 @@ def classify(a) -> str:
     if a.m == 3 and e[0] + e[1] == a.d:
         if e[2] == e[1]:
             if a.deg_Z != 1:
-                raise AssertionError(
-                    "nearly free shape but Z is not a single point"
-                )
+                raise InvariantError("nearly free shape but Z is not a single point")
             return "NearlyFree"
         return "PlusOneGenerated"
     return f"General({a.m})"
@@ -292,5 +291,5 @@ def _try_lift_analysis(a):
         return None
     try:
         return analyze(inp)
-    except Exception:
+    except InputError:
         return None

@@ -161,3 +161,42 @@ def test_env_var_default_field(capsys, monkeypatch):
     # explicit flag wins
     code, doc = run_json(capsys, "analyze", "--curve", "x*y*z", "--field", "fp")
     assert doc["field"]["kind"] == "fp"
+
+
+def test_resolution_failure_exits_3(capsys, monkeypatch):
+    import qcisyz.pipeline as pipeline
+    from qcisyz.resolution import ResolutionError
+
+    def broken(x):
+        raise ResolutionError("consecutive differentials do not compose to zero")
+
+    monkeypatch.setattr(pipeline, "minimal_resolution", broken)
+    code = cli.main(["analyze", "--curve", "z*y^2 - x^3 - z*x^2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "do not compose" in captured.err
+
+
+def test_classification_failure_exits_3(capsys, monkeypatch):
+    from qcisyz.pipeline import analyze
+    from qcisyz.theorems import classify
+
+    def two_point_z(inp):
+        # a nearly free arrangement whose Z claims two points
+        a = analyze(inp)
+        a.deg_Z = 2
+        a.classification = classify(a)
+        return a
+
+    monkeypatch.setattr(cli, "analyze", two_point_z)
+    code = cli.main(["analyze", "--curve", "x*y*z*(x + y + z)"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "nearly free shape" in captured.err
+
+
+def test_fuzz_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert [cli.pool_size(j) for j in (-1, 0, 1, 3, 4, 5, 64)] == [1, 1, 1, 3, 4, 4, 4]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.pool_size(8) == 1

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcisyz.catalog import random_qci
+from qcisyz.errors import InputError
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.groebner import (
     SubmoduleGB,
@@ -10,7 +12,6 @@ from qcisyz.groebner import (
     groebner_basis,
     hilbert_numerator,
     ideal_equal,
-    ideal_intersection,
     saturate,
     syzygies,
 )
@@ -118,10 +119,66 @@ def test_saturate_of_saturated_ideal_is_identity():
     assert ideal_equal(saturate(I), I)
 
 
-def test_ideal_intersection():
-    I = polys(["x"])
-    J = polys(["y"])
-    assert ideal_equal(ideal_intersection(I, J), polys(["x*y"]))
+# reduced grevlex bases of the saturated jacobian ideals, as the earlier
+# colon-and-intersection saturation computed them over the rationals
+LINES_4 = "x*y*z*(x + y + z)"
+LINES_4_SAT = ["y^2*z + y*z^2", "x*y*z", "x^2*z + x*z^2", "x^2*y + x*y^2"]
+LINES_6 = "x*y*z*(x + y + z)*(x + 2*y + 3*z)*(x + 4*y + 9*z)"
+LINES_6_SAT = [
+    "y^4*z - 1/24*x^2*y*z^2 - 23/24*x*y^2*z^2 + 19/4*y^3*z^2 - 2*x*y*z^3"
+    " + 57/8*y^2*z^3 + 27/8*y*z^4",
+    "x*y^3*z - 1/3*x^2*y*z^2 + 13/3*x*y^2*z^2 + 5*x*y*z^3",
+    "x^2*y^2*z + 10/3*x^2*y*z^2 - 1/3*x*y^2*z^2 - 2*x*y*z^3",
+    "x^3*y*z - 16/3*x^2*y*z^2 - 8/3*x*y^2*z^2 - x*y*z^3",
+    "x^4*z + 13*x^3*z^2 + 124/3*x^2*y*z^2 + 80/3*x*y^2*z^2 + 39*x^2*z^3"
+    " + 52*x*y*z^3 + 27*x*z^4",
+    "x^4*y + 7*x^3*y^2 + 14*x^2*y^3 + 8*x*y^4 - 39*x^2*y*z^2 - 57*x*y^2*z^2"
+    " - 54*x*y*z^3",
+]
+
+
+@pytest.mark.parametrize("curve, expected", [(LINES_4, LINES_4_SAT), (LINES_6, LINES_6_SAT)])
+def test_saturate_line_arrangement_needs_another_line(curve, expected):
+    J = list(partial_derivatives(parse_polynomial(curve, QQ)))
+    # z = 0 passes through nodes of the arrangement, so z is no valid line
+    z = parse_polynomial("z", QQ)
+    assert groebner_basis(J + [z]).colength() > 0
+    gb = groebner_basis(saturate(J))
+    assert [e.component(0) for e in gb.basis] == polys(expected, QQ)
+
+
+def _colon_stays_inside(gens, v, field):
+    gb = groebner_basis(gens)
+    q = colon(gens, parse_polynomial(v, field))
+    return all(gb.contains(poly_to_element(g, gb.ambient)) for g in q)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_saturation_is_saturated(seed):
+    # the points of a random triple lie off x = 0, y = 0 and z = 0, so
+    # I_sat : v = I_sat for v = x, y, z; the unsaturated J fails it
+    J = list(random_qci(3, F, seed).polys)
+    sat = saturate(J)
+    for v in ("x", "y", "z"):
+        assert _colon_stays_inside(sat, v, F)
+        assert not _colon_stays_inside(J, v, F)
+
+
+@pytest.mark.parametrize("field", [F, QQ])
+def test_line_arrangement_saturation_is_saturated(field):
+    J = list(partial_derivatives(parse_polynomial(LINES_6, field)))
+    v = "x + 5*y + 7*z"
+    assert groebner_basis(J + [parse_polynomial(v, field)]).colength() == 0
+    assert _colon_stays_inside(saturate(J), v, field)
+    assert not _colon_stays_inside(J, v, field)
+
+
+def test_saturate_raises_when_every_line_meets_the_subscheme():
+    # over GF(2) each line z + a*x + b*y meets z = 0 in one of the three
+    # rational points of z = 0, and V(I) holds all three
+    F2 = PrimeField(2)
+    with pytest.raises(InputError, match="GF\\(2\\)"):
+        saturate(polys(["x^2*y + x*y^2", "x*z^2", "z^3"], F2))
 
 
 def test_zero_dimensional_and_colength():

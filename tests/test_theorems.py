@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from qcisyz.errors import InputError, InvariantError
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import QciInput, analyze
@@ -115,6 +116,35 @@ def test_anomaly_downgrade_on_lift():
     bad.m = a.d + 2
     rep = check_all(bad, statements=("T10",), lift_retry=True)
     assert rep.anomalies and not rep.violations
+
+
+def test_lift_retry_swallows_only_input_errors(monkeypatch):
+    import qcisyz.pipeline as pipeline
+
+    a = analyzed("z*y^2 - x^3 - z*x^2")
+    bad = copy.copy(a)
+    bad.m = a.d + 2
+
+    def invalid(inp):
+        raise InputError("triple has empty common zero locus")
+
+    monkeypatch.setattr(pipeline, "analyze", invalid)
+    rep = check_all(bad, statements=("T10",), lift_retry=True)
+    assert rep.violations and not rep.anomalies
+
+    def broken(inp):
+        raise InvariantError("syzygy module resolution longer than one step")
+
+    monkeypatch.setattr(pipeline, "analyze", broken)
+    with pytest.raises(InvariantError):
+        check_all(bad, statements=("T10",), lift_retry=True)
+
+
+def test_nearly_free_shape_needs_a_single_point():
+    bad = copy.copy(analyzed("x*y*z*(x + y + z)"))
+    bad.deg_Z = 2
+    with pytest.raises(InvariantError, match="nearly free"):
+        classify(bad)
 
 
 def test_classification_labels():
