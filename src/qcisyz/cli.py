@@ -1,7 +1,9 @@
 """Command-line surface: analyze, check, fuzz, catalog, search-tau-plus.
 
 Exit codes: 0 success, 2 invalid input, 3 internal invariant failure,
-4 check violations.
+4 check violations. A fuzz run that finishes exits 0: its summary counts
+the check incidents and the instances that raised (`failures`, with the
+exit code each maps to), and --quarantine keeps a replay record of each.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from multiprocessing import Pool
 from .catalog import builtin_catalog, random_qci, search_tau_plus
 from .fields import DEFAULT_PRIME, FieldConfigError, make_field
 from .parsing import ParseError, parse_polynomial
-from .pipeline import InputError, InvariantError, QciInput, analyze
+from .pipeline import InputError, InvariantError, QciInput, analyze, chern_and_formulas
 from .report import RENDERERS, analysis_to_json, input_to_json, render_json
 from .theorems import STATEMENT_IDS, check_all
 
@@ -93,26 +95,35 @@ def cmd_check(args) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+def _failure_incident(e) -> dict:
+    """An instance whose analysis raised, with the exit code it maps to."""
+    code = EXIT_INTERNAL if isinstance(e, InvariantError) else EXIT_INPUT
+    return {
+        "id": f"exit-{code}",
+        "severity": "failure",
+        "exit_code": code,
+        "error": type(e).__name__,
+        "message": str(e),
+    }
+
+
 def _fuzz_one(task):
     s, child_seed, field_kind, prime = task
     field = make_field(field_kind, prime)
-    inp = random_qci(s, field, child_seed)
-    a = analyze(inp)
-    report = check_all(a)
+    record = {"seed": child_seed, "s": s, "input": None}
+    try:
+        inp = random_qci(s, field, child_seed)
+        record["input"] = input_to_json(inp)
+        a = analyze(inp)
+        report = check_all(a)
+    except (InputError, InvariantError) as e:
+        return dict(record, tau=None, d1=None, m=None, incidents=[_failure_incident(e)])
     incidents = [
         r.to_json()
         for r in report.results
         if r.severity in ("violation", "anomaly")
     ]
-    return {
-        "seed": child_seed,
-        "s": s,
-        "input": input_to_json(inp),
-        "tau": a.tau,
-        "d1": a.exponents[0],
-        "m": a.m,
-        "incidents": incidents,
-    }
+    return dict(record, tau=a.tau, d1=a.exponents[0], m=a.m, incidents=incidents)
 
 
 def pool_size(jobs: int) -> int:
@@ -162,35 +173,36 @@ def cmd_fuzz(args) -> int:
     occupancy = {}
     d = args.s + 1
     for r in results:
-        key = r["d1"]
-        occupancy.setdefault(key, []).append(r["tau"])
+        if r["d1"] is not None:
+            occupancy.setdefault(r["d1"], []).append(r["tau"])
+    rows = []
+    for d1, taus in sorted(occupancy.items()):
+        bounds = chern_and_formulas(d, 0, d1)
+        rows.append(
+            {
+                "d1": d1,
+                "count": len(taus),
+                "tau_min": min(taus),
+                "tau_max": max(taus),
+                "dpw_lower": bounds["dpw_lower"],
+                "dpw_upper": bounds["dpw_upper"],
+                "tau_plus": bounds.get("tau_plus"),
+            }
+        )
+    severities = [i["severity"] for _, i in incidents]
     summary = {
         "version": 1,
         "s": args.s,
         "count": args.count,
         "seed": args.seed,
         "field": {"kind": args.field, "prime": args.prime},
-        "violations": sum(1 for _, i in incidents if i["severity"] == "violation"),
-        "anomalies": sum(1 for _, i in incidents if i["severity"] == "anomaly"),
-        "occupancy": [
-            {
-                "d1": d1,
-                "count": len(taus),
-                "tau_min": min(taus),
-                "tau_max": max(taus),
-                "dpw_lower": (d - 1) * (d - 1 - d1),
-                "dpw_upper": (d - 1) * (d - 1 - d1) + d1 * d1,
-                "tau_plus": (
-                    (d - 1) * (d - 1 - d1)
-                    + d1 * d1
-                    - (2 * d1 + 1 - d) * (2 * d1 + 2 - d) // 2
-                )
-                if 2 * d1 + 1 > d
-                else None,
-            }
-            for d1, taus in sorted(occupancy.items())
-        ],
+        "violations": severities.count("violation"),
+        "anomalies": severities.count("anomaly"),
+        "occupancy": rows,
     }
+    # present only when some instance raised, so clean summaries keep their bytes
+    if "failure" in severities:
+        summary["failures"] = severities.count("failure")
     _emit(render_json(summary), args)
     return EXIT_OK
 

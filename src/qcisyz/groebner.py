@@ -40,72 +40,124 @@ def _as_elements(gens):
     return list(gens), gens[0].ambient
 
 
-def _term_sort_key(keyfn):
-    def key(e):
-        return (e.degree(), keyfn(e.lead(keyfn)[0]))
-
-    return key
+_HALF = 1 << 31
 
 
-def _normal_form_terms(terms, field, by_pos, keyfn):
+class TermKeys(dict):
+    """Order keys of (pos, mono) terms, each computed once per Groebner run.
+
+    keys[t] packs keyfn(t), a flat tuple of ints, into one integer of 32 bits
+    per component, so a larger integer is a larger term; keys.term_of maps
+    the integer back to its term. All keys of one keyfn have the same length,
+    which makes integer order the lexicographic order of the tuples.
+    """
+
+    __slots__ = ("keyfn", "term_of")
+
+    def __init__(self, keyfn):
+        super().__init__()
+        self.keyfn = keyfn
+        self.term_of = {}
+
+    def __missing__(self, t):
+        k = 0
+        for x in self.keyfn(t):
+            if not -_HALF <= x < _HALF:
+                raise OverflowError(f"order key component {x} out of range")
+            k = (k << 32) | (x + _HALF)
+        self[t] = k
+        self.term_of[k] = t
+        return k
+
+    def lead(self, terms):
+        """The largest term of a nonempty term dict."""
+        return max(terms, key=self.__getitem__)
+
+
+def _sorted_with_leads(elements, leads, keys):
+    """Elements and their leads, by degree then lead term (stable)."""
+    pairs = sorted(zip(elements, leads), key=lambda p: (p[0].degree(), keys[p[1]]))
+    return [e for e, _ in pairs], [t for _, t in pairs]
+
+
+def _normal_form_terms(terms, field, by_pos, keys):
     """Full normal form of a term dict against monic reducers indexed by lead
-    position: by_pos[pos] = list of (lead_mono, terms_dict)."""
-    terms = dict(terms)
+    position: by_pos[pos] = list of (lead_mono, terms_dict); the first whose
+    lead divides a term reduces it.
+
+    Pending terms sit in a heap of negated order keys (keys: a `TermKeys`).
+    The largest is popped each step; a term cancelled meanwhile is skipped
+    when its entry comes up. The output lists its terms in decreasing order,
+    so its first term is its lead.
+    """
+    pending = dict(terms)
+    heap = [-keys[t] for t in pending]
+    heapq.heapify(heap)
+    term_of = keys.term_of
+    pop, push = heapq.heappop, heapq.heappush
     out = {}
     zero = field.zero
     sub, mul = field.sub, field.mul
-    while terms:
-        t = max(terms, key=keyfn)
-        c = terms.pop(t)
+    while heap:
+        t = term_of[-pop(heap)]
+        c = pending.pop(t, None)
+        if c is None:
+            continue
         pos, m = t
-        red = None
         for gm, gterms in by_pos.get(pos, ()):
-            if mono_divides(gm, m):
-                red = (gm, gterms)
+            if gm[0] <= m[0] and gm[1] <= m[1] and gm[2] <= m[2]:
                 break
-        if red is None:
+        else:
             out[t] = c
             continue
-        gm, gterms = red
-        shift = mono_div(m, gm)
+        s0, s1, s2 = m[0] - gm[0], m[1] - gm[1], m[2] - gm[2]
         lead_key = (pos, gm)
         for tt, cc in gterms.items():
             if tt == lead_key:
                 continue
             p2, m2 = tt
-            key2 = (p2, (m2[0] + shift[0], m2[1] + shift[1], m2[2] + shift[2]))
-            s = sub(terms.get(key2, zero), mul(cc, c))
+            key2 = (p2, (m2[0] + s0, m2[1] + s1, m2[2] + s2))
+            old = pending.get(key2)
+            if old is None:
+                pending[key2] = sub(zero, mul(cc, c))
+                push(heap, -keys[key2])
+                continue
+            s = sub(old, mul(cc, c))
             if s == zero:
-                terms.pop(key2, None)
+                del pending[key2]
             else:
-                terms[key2] = s
+                pending[key2] = s
     return out
 
 
-class RawBasis:
-    """A monic interreduced Groebner basis of a submodule, with its order."""
+def _index_leads(elements, leads):
+    by_pos = {}
+    for e, (pos, m) in zip(elements, leads):
+        by_pos.setdefault(pos, []).append((m, e.terms))
+    return by_pos
 
-    def __init__(self, ambient, field, keyfn, elements):
+
+class RawBasis:
+    """A monic interreduced Groebner basis of a submodule, with its order.
+
+    leads[i] is the lead term of elements[i]; keys memoizes the order keys
+    (both are computed from keyfn when not given).
+    """
+
+    def __init__(self, ambient, field, keyfn, elements, leads=None, keys=None):
         self.ambient = ambient
         self.field = field
         self.keyfn = keyfn
         self.elements = elements
-        self.by_pos = {}
-        for e in elements:
-            (pos, m), _ = e.lead(keyfn)
-            self.by_pos.setdefault(pos, []).append((m, e.terms))
+        self.keys = TermKeys(keyfn) if keys is None else keys
+        if leads is None:
+            leads = [self.keys.lead(e.terms) for e in elements]
+        self.leads = leads
+        self.by_pos = _index_leads(elements, leads)
 
     def normal_form(self, e: ModuleElement) -> ModuleElement:
-        terms = _normal_form_terms(e.terms, self.field, self.by_pos, self.keyfn)
+        terms = _normal_form_terms(e.terms, self.field, self.by_pos, self.keys)
         return ModuleElement(e.ambient, self.field, terms)
-
-    def contains(self, e: ModuleElement) -> bool:
-        return not self.normal_form(e).terms
-
-    def lead_terms(self):
-        return sorted(
-            (e.lead(self.keyfn)[0] for e in self.elements), key=lambda t: (t[0], t[1])
-        )
 
 
 def buchberger(gens, ambient, field, keyfn, rank1_criterion=False) -> RawBasis:
@@ -114,14 +166,16 @@ def buchberger(gens, ambient, field, keyfn, rank1_criterion=False) -> RawBasis:
     rank1_criterion enables Buchberger's product criterion, valid only for
     ideals (rank-one ambient).
     """
+    keys = TermKeys(keyfn)
     work = [g for g in gens if not g.is_zero()]
     for g in work:
         if not g.is_homogeneous():
             raise ValueError("groebner engine requires homogeneous input")
-    work.sort(key=_term_sort_key(keyfn))
+    work, _ = _sorted_with_leads(work, [keys.lead(g.terms) for g in work], keys)
 
     G = []  # monic elements
     leads = []  # (pos, mono)
+    by_pos = {}  # pos -> [(lead mono, terms)], in the order of G
     pairs = []  # heap of (degree, i, j)
     done = set()
 
@@ -143,28 +197,24 @@ def buchberger(gens, ambient, field, keyfn, rank1_criterion=False) -> RawBasis:
             deg = mono_deg(L) - mono_deg(mj) + dj
             heapq.heappush(pairs, (deg, i, j))
 
-    def add_elem(e):
-        e = e.scale(field.inv(e.lead(keyfn)[1]))
+    def add_elem(terms):
+        lead = next(iter(terms))
+        e = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
         G.append(e)
-        leads.append(e.lead(keyfn)[0])
+        leads.append(lead)
+        by_pos.setdefault(lead[0], []).append((lead[1], e.terms))
         add_pairs(len(G) - 1)
 
-    queue = list(work)
+    work_deg = [g.degree() for g in work]
     qi = 0
-    while qi < len(queue) or pairs:
-        take_gen = qi < len(queue) and (
-            not pairs or queue[qi].degree() <= pairs[0][0]
-        )
+    while qi < len(work) or pairs:
+        take_gen = qi < len(work) and (not pairs or work_deg[qi] <= pairs[0][0])
         if take_gen:
-            g = queue[qi]
+            g = work[qi]
             qi += 1
-            by_pos = {}
-            for e in G:
-                (pos, m), _ = e.lead(keyfn)
-                by_pos.setdefault(pos, []).append((m, e.terms))
-            terms = _normal_form_terms(g.terms, field, by_pos, keyfn)
+            terms = _normal_form_terms(g.terms, field, by_pos, keys)
             if terms:
-                add_elem(ModuleElement(ambient, field, terms))
+                add_elem(terms)
             continue
         deg, i, j = heapq.heappop(pairs)
         if (i, j) in done:
@@ -190,38 +240,37 @@ def buchberger(gens, ambient, field, keyfn, rank1_criterion=False) -> RawBasis:
         s = G[i].mono_shift(mono_div(L, mi), field.one) - G[j].mono_shift(
             mono_div(L, mj), field.one
         )
-        by_pos = {}
-        for e in G:
-            (pos, m), _ = e.lead(keyfn)
-            by_pos.setdefault(pos, []).append((m, e.terms))
-        terms = _normal_form_terms(s.terms, field, by_pos, keyfn)
+        terms = _normal_form_terms(s.terms, field, by_pos, keys)
         if terms:
-            add_elem(ModuleElement(ambient, field, terms))
+            add_elem(terms)
 
-    # interreduce to the unique reduced basis
+    # interreduce to the unique reduced basis; each element is reduced by
+    # the already reduced ones, then by the later ones, in that order
     changed = True
     while changed:
         changed = False
-        G.sort(key=_term_sort_key(keyfn))
-        out = []
-        for idx, e in enumerate(G):
-            others = out + G[idx + 1 :]
-            by_pos = {}
-            for o in others:
-                (pos, m), _ = o.lead(keyfn)
-                by_pos.setdefault(pos, []).append((m, o.terms))
-            terms = _normal_form_terms(e.terms, field, by_pos, keyfn)
+        G, leads = _sorted_with_leads(G, leads, keys)
+        rest = _index_leads(G, leads)
+        out, out_leads, out_pos = [], [], {}
+        for e, (pos, _) in zip(G, leads):
+            rest[pos].pop(0)
+            by_pos = {
+                p: out_pos.get(p, []) + rest.get(p, []) for p in out_pos.keys() | rest.keys()
+            }
+            terms = _normal_form_terms(e.terms, field, by_pos, keys)
             if not terms:
                 changed = True
                 continue
-            r = ModuleElement(ambient, field, terms)
-            r = r.scale(field.inv(r.lead(keyfn)[1]))
+            lead = next(iter(terms))
+            r = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
             if r.terms != e.terms:
                 changed = True
             out.append(r)
-        G = out
-    G.sort(key=_term_sort_key(keyfn))
-    return RawBasis(ambient, field, keyfn, G)
+            out_leads.append(lead)
+            out_pos.setdefault(lead[0], []).append((lead[1], r.terms))
+        G, leads = out, out_leads
+    G, leads = _sorted_with_leads(G, leads, keys)
+    return RawBasis(ambient, field, keyfn, G, leads, keys)
 
 
 class SubmoduleGB:
@@ -268,28 +317,22 @@ class SubmoduleGB:
             hs.append(ModuleElement(big, field, terms))
         basis = buchberger(hs, big, field, keyfn)
         gb = []
+        gb_leads = []
         syz = []
-        for e in basis.elements:
+        for e, lead in zip(basis.elements, basis.leads):
             fpart = {t: c for t, c in e.terms.items() if t[0] < k}
-            epart = {
-                (p - k, m): c for (p, m), c in e.terms.items() if p >= k
-            }
             if fpart:
-                gb.append(
-                    (
-                        ModuleElement(self.ambient, field, fpart),
-                        ModuleElement(self.syz_ambient, field, epart),
-                    )
-                )
+                gb.append(ModuleElement(self.ambient, field, fpart))
+                # F-terms beat bookkeeping terms and are ordered as in
+                # self.keyfn, so the block lead is the lead of fpart
+                gb_leads.append(lead)
             else:
+                epart = {(p - k, m): c for (p, m), c in e.terms.items()}
                 syz.append(ModuleElement(self.syz_ambient, field, epart))
         self._block = basis
         self._block_split = k
-        self._gb_with_reps = gb
         self._syzygies = syz
-        self._plain = RawBasis(
-            self.ambient, self.field, self.keyfn, [g for g, _ in gb]
-        )
+        self._plain = RawBasis(self.ambient, self.field, self.keyfn, gb, gb_leads)
 
     # --- public surface -------------------------------------------------
 
@@ -307,10 +350,7 @@ class SubmoduleGB:
         return self._plain.normal_form(v)
 
     def contains(self, v) -> bool:
-        nf = self.normal_form(v)
-        if isinstance(nf, Polynomial):
-            return nf.is_zero()
-        return nf.is_zero()
+        return self.normal_form(v).is_zero()
 
     @property
     def syzygies(self):
@@ -339,7 +379,7 @@ class SubmoduleGB:
 
     def lead_monomials(self):
         assert self.ambient.rank == 1
-        return tuple(sorted(m for (_, m) in (e.lead(self.keyfn)[0] for e in self.basis)))
+        return tuple(sorted(m for _, m in self._plain.leads))
 
     def zero_dimensional(self) -> bool:
         """True iff V(I) is finite in P^2 (quotient Krull dim <= 1)."""

@@ -37,22 +37,14 @@ def grevlex_key(m):
     return (m[0] + m[1] + m[2], -m[2], -m[1])
 
 
-def lex_key(m):
-    return m
-
-
 class MonomialOrder:
     """A total multiplicative order on monomials in x, y, z."""
 
     def __init__(self, kind: str = "grevlex"):
-        if kind not in ("grevlex", "lex"):
+        if kind != "grevlex":
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
-        self.key = grevlex_key if kind == "grevlex" else lex_key
-
-    def compare(self, a, b) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+        self.key = grevlex_key
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.kind == self.kind
@@ -65,25 +57,18 @@ class MonomialOrder:
 
 
 GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
 
 
 def top_key(mono_key):
-    """Term-over-position key on (pos, mono); lower position breaks ties."""
+    """Term-over-position key on (pos, mono); lower position breaks ties.
+
+    Module keys are flat tuples of ints, so a Groebner run can pack each
+    into one integer (see `groebner.TermKeys`).
+    """
 
     def key(t):
         pos, m = t
-        return (mono_key(m), -pos)
-
-    return key
-
-
-def pot_key(mono_key):
-    """Position-over-term key on (pos, mono); position 0 is largest."""
-
-    def key(t):
-        pos, m = t
-        return (-pos, mono_key(m))
+        return (*mono_key(m), -pos)
 
     return key
 
@@ -98,6 +83,6 @@ def block_elim_key(split: int, mono_key):
 
     def key(t):
         pos, m = t
-        return (pos < split, mono_key(m), -pos)
+        return (pos < split, *mono_key(m), -pos)
 
     return key

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, InvariantError
 from .fields import QQ, PrimeField
+from .pipeline import QciInput, chern_and_formulas, tau_plus
 from .poly import Polynomial
 from .resolution import BettiTable
 
@@ -75,18 +76,6 @@ def classify(a) -> str:
 
 def _ci_betti(p: int, q: int) -> BettiTable:
     return BettiTable.from_twists([sorted((p, q)), [p + q]])
-
-
-def _dpw(a):
-    d, d1 = a.d, a.exponents[0]
-    lower = (d - 1) * (d - 1 - d1)
-    return lower, lower + d1 * d1
-
-
-def _tau_plus(a):
-    d, d1 = a.d, a.exponents[0]
-    lower, upper = _dpw(a)
-    return upper - (2 * d1 + 1 - d) * (2 * d1 + 2 - d) // 2
 
 
 def _z_ideal_degrees(a):
@@ -169,11 +158,12 @@ def _check_one(a, sid: str):
     if sid == "T10":
         return True, m <= d + 1, w
     if sid == "T11":
-        lower, upper = _dpw(a)
+        f = chern_and_formulas(d, tau, d1)
+        lower, upper = f["dpw_lower"], f["dpw_upper"]
         w.update(dpw_lower=lower, dpw_upper=upper)
         return True, lower <= tau <= upper, w
     if sid == "T12":
-        lower, _ = _dpw(a)
+        lower = chern_and_formulas(d, tau, d1)["dpw_lower"]
         shape = (
             m == 3
             and e[1] == e[2] == d - 1
@@ -182,7 +172,7 @@ def _check_one(a, sid: str):
         w.update(dpw_lower=lower, ci_shape=shape)
         return True, (tau == lower) == shape, w
     if sid == "T13":
-        lower, _ = _dpw(a)
+        lower = chern_and_formulas(d, tau, d1)["dpw_lower"]
         shape = (
             m == 4 and sorted(e) == sorted((d1, d - 1, d - 1, d - 3 + d1))
         ) or (d1 == 1 and m == 2 and sorted(e) == [1, d - 2])
@@ -196,13 +186,13 @@ def _check_one(a, sid: str):
     if sid == "T14":
         if 2 * d1 + 1 <= d:
             return False, True, w
-        tp = _tau_plus(a)
+        tp = tau_plus(d, d1)
         w.update(tau_plus=tp)
         return True, tau <= tp, w
     if sid == "T15":
         if 2 * d1 + 1 <= d:
             return False, True, w
-        tp = _tau_plus(a)
+        tp = tau_plus(d, d1)
         mm = 2 * d1 - d + 3
         shape = (
             m == mm
@@ -214,7 +204,7 @@ def _check_one(a, sid: str):
     if sid == "T16":
         if 2 * d1 + 1 <= d:
             return False, True, w
-        tp = _tau_plus(a)
+        tp = tau_plus(d, d1)
         shapes = _t16_shapes(d, d1)
         shape = (tuple(e), tuple(b)) in shapes
         w.update(tau_plus=tp, shape=shape, admissible=[list(map(list, s)) for s in shapes])
@@ -228,8 +218,6 @@ def _check_one(a, sid: str):
 
 def lift_to_rationals(inp):
     """Lift a prime-field input to the rationals via centered representatives."""
-    from .pipeline import QciInput
-
     field = inp.field
     if not isinstance(field, PrimeField):
         return None
@@ -284,11 +272,11 @@ def check_all(a, statements=None, lift_retry: bool = True) -> TheoremReport:
 
 
 def _try_lift_analysis(a):
-    from .pipeline import analyze
-
     inp = lift_to_rationals(a.input)
     if inp is None:
         return None
+    from .pipeline import analyze
+
     try:
         return analyze(inp)
     except InputError:

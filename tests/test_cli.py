@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from qcisyz import cli
+from qcisyz.errors import InputError, InvariantError
 from qcisyz.report import render_pretty, render_tsv
 
 
@@ -200,3 +203,39 @@ def test_fuzz_jobs_clamped_to_cpu_count(monkeypatch):
     assert [cli.pool_size(j) for j in (-1, 0, 1, 3, 4, 5, 64)] == [1, 1, 1, 3, 4, 4, 4]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli.pool_size(8) == 1
+
+
+@pytest.mark.parametrize(
+    "error, code", [(InvariantError, 3), (InputError, 2)]
+)
+def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch, error, code):
+    from qcisyz.catalog import random_qci
+    from qcisyz.fields import PrimeField
+    from qcisyz.report import input_to_json
+
+    bad = 7 * 2**32 + 1
+    bad_input = input_to_json(random_qci(2, PrimeField(32003), bad))
+    real = cli.analyze
+
+    def flaky(inp):
+        if input_to_json(inp) == bad_input:
+            raise error("injected failure")
+        return real(inp)
+
+    monkeypatch.setattr(cli, "analyze", flaky)
+    qdir = tmp_path / "q"
+    code_out, doc = run_json(
+        capsys,
+        "fuzz", "--s", "2", "--count", "3", "--seed", "7",
+        "--quarantine", str(qdir),
+    )
+    assert code_out == 0
+    assert doc["failures"] == 1 and doc["violations"] == 0
+    assert sum(row["count"] for row in doc["occupancy"]) == 2
+    files = sorted(p.name for p in qdir.iterdir())
+    assert files == [f"{bad}-exit-{code}.json"]
+    record = json.loads((qdir / files[0]).read_text())
+    assert record["replay"]["seed"] == bad and record["replay"]["input"] == bad_input
+    assert record["incident"]["exit_code"] == code
+    assert record["incident"]["error"] == error.__name__
+    assert record["incident"]["message"] == "injected failure"

@@ -7,7 +7,10 @@ from qcisyz.catalog import random_qci
 from qcisyz.errors import InputError
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.groebner import (
+    RawBasis,
     SubmoduleGB,
+    TermKeys,
+    _normal_form_terms,
     colon,
     groebner_basis,
     hilbert_numerator,
@@ -15,7 +18,8 @@ from qcisyz.groebner import (
     saturate,
     syzygies,
 )
-from qcisyz.modules import poly_to_element
+from qcisyz.modules import ModuleElement, poly_to_element
+from qcisyz.orders import block_elim_key, grevlex_key, mono_div, mono_divides, mono_mul, top_key
 from qcisyz.parsing import parse_polynomial
 from qcisyz.poly import Polynomial, partial_derivatives
 
@@ -217,3 +221,106 @@ def test_groebner_over_rationals():
     assert gb.contains(
         poly_to_element(parse_polynomial("x*z^2 - y^2*z", QQ), gb.ambient)
     )
+
+
+# --- the reduction kernel against a max()-rescan reference -----------------
+
+
+def _rescan_normal_form(terms, field, by_pos, keyfn, seen):
+    """The textbook kernel: each step evaluates keyfn on every pending term to
+    find the largest. Every term that is ever pending is added to seen."""
+    terms = dict(terms)
+    seen.update(terms)
+    out = {}
+    while terms:
+        t = max(terms, key=keyfn)
+        c = terms.pop(t)
+        pos, m = t
+        red = next(((gm, g) for gm, g in by_pos.get(pos, ()) if mono_divides(gm, m)), None)
+        if red is None:
+            out[t] = c
+            continue
+        gm, gterms = red
+        shift = mono_div(m, gm)
+        for (p2, m2), cc in gterms.items():
+            if (p2, m2) == (pos, gm):
+                continue
+            t2 = (p2, mono_mul(m2, shift))
+            seen.add(t2)
+            v = field.sub(terms.get(t2, field.zero), field.mul(cc, c))
+            if v == field.zero:
+                terms.pop(t2, None)
+            else:
+                terms[t2] = v
+    return out
+
+
+def _dense_element(ambient, field, degree, rng):
+    """Every monomial of every component, with random coefficients."""
+    from qcisyz.linalg import monomials_of_degree
+
+    terms = {}
+    for pos, tw in enumerate(ambient.twists):
+        for m in monomials_of_degree(degree - tw):
+            c = field.coerce(rng.randrange(1, 100))
+            terms[(pos, m)] = c
+    return ModuleElement(ambient, field, terms)
+
+
+@pytest.mark.parametrize("syz", [False, True], ids=["top_key", "block_elim_key"])
+def test_kernel_evaluates_each_order_key_once(syz):
+    # a jacobian-like syzygy computation at s = 5, the heaviest corpus degree
+    J = list(random_qci(5, F, 0).polys)
+    gb = SubmoduleGB(J, syzygies=syz)
+    basis = gb._block if syz else gb._plain
+    calls = [0]
+
+    def counting(t):
+        calls[0] += 1
+        return basis.keyfn(t)
+
+    fresh = RawBasis(basis.ambient, basis.field, counting, basis.elements)
+    e = _dense_element(basis.ambient, F, max(x.degree() for x in basis.elements) + 2, random.Random(5))
+    seen = set()
+    expected = _rescan_normal_form(e.terms, F, fresh.by_pos, basis.keyfn, seen)
+    calls[0] = 0
+    nf = fresh.normal_form(e)
+    assert list(nf.terms.items()) == list(expected.items())
+    assert len(nf.terms) < len(e.terms)  # lead terms of the basis were reduced away
+    assert calls[0] <= len(seen)
+
+
+def _random_reducers(field, rank, keyfn, rng, count):
+    """Monic elements of a rank-`rank` module, each scaled by its lead."""
+    out = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            m = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+            terms[(rng.randrange(rank), m)] = field.coerce(rng.randint(1, 9))
+        lead = max(terms, key=keyfn)
+        inv = field.inv(terms[lead])
+        out.append((lead, {t: field.mul(c, inv) for t, c in terms.items()}))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    field=st.sampled_from([F, QQ]),
+    kind=st.sampled_from(["top_key", "block_elim_key"]),
+)
+def test_kernel_matches_rescan_reference(seed, field, kind):
+    rng = random.Random(seed)
+    rank = rng.randint(1, 4)
+    keyfn = top_key(grevlex_key) if kind == "top_key" else block_elim_key(1, grevlex_key)
+    by_pos = {}
+    for (pos, m), terms in _random_reducers(field, rank, keyfn, rng, rng.randint(1, 6)):
+        by_pos.setdefault(pos, []).append((m, terms))
+    element = {}
+    for _ in range(rng.randint(1, 12)):
+        m = (rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5))
+        element[(rng.randrange(rank), m)] = field.coerce(rng.randint(1, 9))
+    expected = _rescan_normal_form(element, field, by_pos, keyfn, set())
+    got = _normal_form_terms(element, field, by_pos, TermKeys(keyfn))
+    assert list(got.items()) == list(expected.items())
