@@ -12,7 +12,8 @@ from typing import Optional
 
 from .fields import DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
-from .linalg import monomials_of_degree
+from .linalg import make_echelon, monomials_of_degree
+from .orders import mono_mul
 from .parsing import parse_polynomial
 from .pipeline import InputError, QciInput, analyze, chern_and_formulas
 from .poly import Polynomial
@@ -127,61 +128,36 @@ def random_qci(s: int, field, seed: int, budget: int = 200) -> QciInput:
 def _kernel_basis_in_degree(cols, m: int, field, deg: int):
     """Basis of {v in (S^m)_deg : v . c = 0 for every column c}.
 
-    cols are vectors of linear forms (length-m tuples of Polynomial).
-    Plain dense elimination on the transposed multiplication map; the
-    sizes involved are tiny.
+    cols are vectors of linear forms (length-m tuples of Polynomial). Each
+    domain monomial's row of the transposed multiplication map is reduced
+    with an identity augmentation; a row whose left part reduces to zero
+    yields the kernel vector in its right part, any other row is kept.
     """
     dom = [(i, mono) for i in range(m) for mono in monomials_of_degree(deg)]
-    codom_monos = list(monomials_of_degree(deg + 1))
-    codom_index = {
-        (j, mono): j * len(codom_monos) + k
-        for j in range(len(cols))
-        for k, mono in enumerate(codom_monos)
-    }
+    codom_monos = monomials_of_degree(deg + 1)
+    codom_index = {mono: k for k, mono in enumerate(codom_monos)}
     width = len(cols) * len(codom_monos)
-    rows = []
-    for (i, mono) in dom:
-        vec = [field.zero] * width
+    ech = make_echelon(field, width + len(dom))
+    out = []
+    for r, (i, mono) in enumerate(dom):
+        vec = [field.zero] * (width + len(dom))
+        vec[width + r] = field.one
         for j, col in enumerate(cols):
             for cm, cc in col[i].terms.items():
-                prod = tuple(a + b for a, b in zip(mono, cm))
-                vec[codom_index[(j, prod)]] = field.add(
-                    vec[codom_index[(j, prod)]], cc
-                )
-        rows.append(vec)
-    # eliminate with an identity augmentation; zero rows yield kernel vectors
-    n = len(dom)
-    aug = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    pivots = {}
-    kernel = []
-    for r in range(n):
-        row, arow = rows[r], aug[r]
-        for c in sorted(pivots):
-            if row[c] != field.zero:
-                factor = row[c]
-                prow, parow = pivots[c]
-                for k in range(width):
-                    row[k] = field.sub(row[k], field.mul(factor, prow[k]))
-                for k in range(n):
-                    arow[k] = field.sub(arow[k], field.mul(factor, parow[k]))
-        lead = next((c for c in range(width) if row[c] != field.zero), None)
-        if lead is None:
-            kernel.append(arow)
-        else:
-            inv = field.inv(row[lead])
-            pivots[lead] = (
-                [field.mul(inv, x) for x in row],
-                [field.mul(inv, x) for x in arow],
-            )
-    out = []
-    for combo in kernel:
-        vec = [Polynomial.zero(field) for _ in range(m)]
-        for idx, c in enumerate(combo):
-            if c == field.zero:
-                continue
-            i, mono = dom[idx]
-            vec[i] = vec[i] + Polynomial(field, {mono: c})
-        out.append(tuple(vec))
+                k = j * len(codom_monos) + codom_index[mono_mul(mono, cm)]
+                vec[k] = field.add(vec[k], cc)
+        v = ech.reduce(vec)
+        if any(v[:width]):
+            ech.insert(v)
+            continue
+        combo = v[width:]
+        if isinstance(field, PrimeField):
+            combo = [int(c) for c in combo]
+        comps = [{} for _ in range(m)]
+        for (ci, cmono), c in zip(dom, combo):
+            if c != field.zero:
+                comps[ci][cmono] = c
+        out.append(tuple(Polynomial(field, t) for t in comps))
     return out
 
 
@@ -246,15 +222,9 @@ def _triple_from_kernel_rows(rows, m: int, field, s: int):
     from .modules import FreeGradedModule, ModuleElement
 
     amb = FreeGradedModule((0,) * m)
-    elems = []
-    for row in rows:
-        terms = {}
-        for i, p in enumerate(row):
-            for mono, c in p.terms.items():
-                terms[(i, mono)] = c
-        if not terms:
-            return None
-        elems.append(ModuleElement(amb, field, terms))
+    elems = [ModuleElement.from_components(amb, field, row) for row in rows]
+    if any(e.is_zero() for e in elems):
+        return None
     syz = syzygies(elems)
     # syzygy degrees include the generator degree of the rows
     cands = [e for e in syz if e.degree() == s + elems[0].degree()]

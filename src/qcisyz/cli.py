@@ -36,17 +36,18 @@ def _add_input_flags(p: argparse.ArgumentParser):
         metavar=("P1", "P2", "P3"),
         help="three homogeneous forms of equal degree",
     )
+
+
+def _add_field_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--field",
         choices=("q", "fp"),
         default=os.environ.get("QCISYZ_FIELD", "fp"),
         help="ground field: rationals (q) or a prime field (fp)",
     )
-    p.add_argument(
-        "--prime",
-        type=int,
-        default=int(os.environ.get("QCISYZ_PRIME", DEFAULT_PRIME)),
-    )
+    # argparse converts a string default with `type`, so a QCISYZ_PRIME
+    # that is not an integer is a usage error (exit 2), not a traceback
+    p.add_argument("--prime", type=int, default=os.environ.get("QCISYZ_PRIME", DEFAULT_PRIME))
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -264,11 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="compute the full invariant record")
     _add_input_flags(pa)
+    _add_field_flags(pa)
     _add_output_flags(pa)
     pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("check", help="analysis plus the structural checks")
     _add_input_flags(pc)
+    _add_field_flags(pc)
     _add_output_flags(pc)
     pc.add_argument("--statements", help="comma-separated filter, e.g. T4,T11")
     pc.set_defaults(func=cmd_check)
@@ -279,15 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--jobs", type=int, default=1)
     pf.add_argument("--quarantine", metavar="DIR")
-    pf.add_argument("--field", choices=("q", "fp"), default="fp")
-    pf.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    _add_field_flags(pf)
     _add_output_flags(pf)
     pf.set_defaults(func=cmd_fuzz)
 
     pcat = sub.add_parser("catalog", help="list or verify the builtin examples")
     pcat.add_argument("--verify", action="store_true")
-    pcat.add_argument("--field", choices=("q", "fp"), default="fp")
-    pcat.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    _add_field_flags(pcat)
     _add_output_flags(pcat)
     pcat.set_defaults(func=cmd_catalog)
 
@@ -298,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--d1", type=int, required=True)
     ps.add_argument("--budget", type=int, default=50)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--field", choices=("q", "fp"), default="fp")
-    ps.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    _add_field_flags(ps)
     _add_output_flags(ps)
     ps.set_defaults(func=cmd_search_tau_plus)
     return p

@@ -60,20 +60,11 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / b
-
     def format(self, a) -> str:
         return str(a)
 
     def random(self, rng):
         return Fraction(rng.randint(-9, 9))
-
-    def random_nonzero(self, rng):
-        while True:
-            c = self.random(rng)
-            if c != 0:
-                return c
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -122,17 +113,11 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.prime - 2, self.prime)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.prime
-
     def format(self, a) -> str:
         return str(a % self.prime)
 
     def random(self, rng):
         return rng.randrange(self.prime)
-
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.prime)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.prime == self.prime

@@ -19,7 +19,6 @@ from functools import lru_cache
 from .errors import InputError
 from .modules import FreeGradedModule, ModuleElement, poly_to_element
 from .orders import (
-    GREVLEX,
     block_elim_key,
     mono_deg,
     mono_div,
@@ -27,7 +26,7 @@ from .orders import (
     mono_lcm,
     top_key,
 )
-from .poly import Polynomial
+from .poly import Polynomial, add_terms
 
 
 def _as_elements(gens):
@@ -160,12 +159,14 @@ class RawBasis:
         return ModuleElement(e.ambient, self.field, terms)
 
 
-def buchberger(gens, ambient, field, keyfn, rank1_criterion=False) -> RawBasis:
+def buchberger(gens, ambient, field, keyfn) -> RawBasis:
     """Reduced Groebner basis; normal (min-degree-first) pair selection.
 
-    rank1_criterion enables Buchberger's product criterion, valid only for
-    ideals (rank-one ambient).
+    Buchberger's product criterion is used for ideals (rank-one ambient),
+    the only case where it is valid.
     """
+    rank1_criterion = ambient.rank == 1
+    minus_one = field.neg(field.one)
     keys = TermKeys(keyfn)
     work = [g for g in gens if not g.is_zero()]
     for g in work:
@@ -237,10 +238,9 @@ def buchberger(gens, ambient, field, keyfn, rank1_criterion=False) -> RawBasis:
                     break
         if skip:
             continue
-        s = G[i].mono_shift(mono_div(L, mi), field.one) - G[j].mono_shift(
-            mono_div(L, mj), field.one
-        )
-        terms = _normal_form_terms(s.terms, field, by_pos, keys)
+        s = G[i].mono_shift(mono_div(L, mi), field.one).terms
+        add_terms(field, s, G[j].mono_shift(mono_div(L, mj), minus_one).terms)
+        terms = _normal_form_terms(s, field, by_pos, keys)
         if terms:
             add_elem(terms)
 
@@ -280,16 +280,14 @@ class SubmoduleGB:
     syzygy module of the input generators and membership certificates.
     """
 
-    def __init__(self, gens, syzygies=False, order=GREVLEX):
+    def __init__(self, gens, syzygies=False):
         elems, ambient = _as_elements(gens)
         if not elems:
             raise ValueError("empty generating set")
         self.gens = elems
         self.ambient = ambient
         self.field = elems[0].field
-        self.order = order
-        self.mono_key = order.key
-        self.keyfn = top_key(order.key)
+        self.keyfn = top_key
         self.gen_degrees = tuple(g.degree() for g in elems)
         self.syz_ambient = FreeGradedModule(self.gen_degrees)
         self._block = None
@@ -297,9 +295,7 @@ class SubmoduleGB:
         if syzygies:
             self._compute_block()
         else:
-            self._plain = buchberger(
-                elems, ambient, self.field, self.keyfn, rank1_criterion=(ambient.rank == 1)
-            )
+            self._plain = buchberger(elems, ambient, self.field, self.keyfn)
 
     # --- block (syzygy) computation ------------------------------------
 
@@ -309,7 +305,7 @@ class SubmoduleGB:
         twists = self.ambient.twists + self.gen_degrees
         big = FreeGradedModule(twists)
         field = self.field
-        keyfn = block_elim_key(k, self.mono_key)
+        keyfn = block_elim_key(k)
         hs = []
         for i, g in enumerate(self.gens):
             terms = dict(g.terms)
@@ -464,9 +460,9 @@ def _interreduce_monomials(gens):
 # --- ideal-level operations ---------------------------------------------
 
 
-def groebner_basis(gens, order=GREVLEX):
+def groebner_basis(gens):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
-    return SubmoduleGB(gens, syzygies=False, order=order)
+    return SubmoduleGB(gens, syzygies=False)
 
 
 def syzygies(gens):
@@ -485,18 +481,17 @@ def colon(gens, g: Polynomial):
         q = s.component(last)
         if not q.is_zero():
             out.append(q)
-    return _prune_ideal_gens(out, [])
+    return _prune_ideal_gens(out)
 
 
-def _prune_ideal_gens(new, base):
-    """Deterministic small generating set: base gens plus minimalized new ones."""
+def _prune_ideal_gens(gens):
+    """Deterministic small generating set: a minimal subset of gens."""
     from .linalg import minimal_generators
-    from .modules import poly_to_element
 
     amb = FreeGradedModule((0,))
-    elems = [poly_to_element(p, amb) for p in base + new if not p.is_zero()]
+    elems = [poly_to_element(p, amb) for p in gens if not p.is_zero()]
     if not elems:
-        return [Polynomial.zero((base + new)[0].field)]
+        return [Polynomial.zero(gens[0].field)]
     kept = minimal_generators(elems)
     return [e.component(0) for e in kept]
 
@@ -589,7 +584,7 @@ def saturate(gens):
             continue
         sat = [_shear(_strip_z(e.component(0)), a, b) for e in moved_gb.basis]
         reduced = [e.component(0) for e in groebner_basis(sat).basis]
-        return _prune_ideal_gens(reduced, [])
+        return _prune_ideal_gens(reduced)
     raise InputError(
         f"no line z + a*x + b*y over GF({field.prime}) avoids the subscheme; "
         "the saturation needs a larger field"

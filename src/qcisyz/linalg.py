@@ -48,66 +48,98 @@ def free_module_dim(twists, t: int) -> int:
     return total
 
 
-class _PrimeEchelon:
+class _Echelon:
+    """Rows in echelon form, kept as {pivot column: normalized row}."""
+
+    def add(self, vec) -> bool:
+        """Reduce vec and keep it if it is independent of the rows kept."""
+        return self.insert(self.reduce(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+class _PrimeEchelon(_Echelon):
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
         self.pivots = {}  # col -> normalized numpy row
 
-    def add(self, vec) -> bool:
+    def reduce(self, vec):
+        """vec reduced by every pivot row, in increasing pivot column."""
         p = self.p
         v = np.asarray(vec, dtype=np.int64) % p
         for col in sorted(self.pivots):
             c = v[col]
             if c:
                 v = (v - c * self.pivots[col]) % p
+        return v
+
+    def insert(self, v) -> bool:
+        """Store a reduced vector as a pivot row; False if it is zero."""
         nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         col = int(nz[0])
-        inv = pow(int(v[col]), p - 2, p)
-        self.pivots[col] = (v * inv) % p
+        inv = pow(int(v[col]), self.p - 2, self.p)
+        self.pivots[col] = (v * inv) % self.p
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
-
-class _FractionEchelon:
+class _FractionEchelon(_Echelon):
     def __init__(self, width: int):
         self.width = width
         self.pivots = {}  # col -> normalized row (list of Fractions/ints)
 
-    def add(self, vec) -> bool:
+    def reduce(self, vec):
+        """vec reduced by every pivot row, in increasing pivot column."""
         v = list(vec)
         for col in sorted(self.pivots):
             c = v[col]
             if c:
                 row = self.pivots[col]
                 v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, v) -> bool:
+        """Store a reduced vector as a pivot row; False if it is zero."""
         for col, c in enumerate(v):
             if c:
                 self.pivots[col] = [a / c for a in v]
                 return True
         return False
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def make_echelon(field, width: int):
+    """An echelon form of rows of the given width over the field: add(vec)
+    is reduce(vec), then insert of the reduced vector when it is nonzero."""
     if isinstance(field, PrimeField):
         return _PrimeEchelon(field.prime, width)
     return _FractionEchelon(width)
 
 
-def element_vector(e: ModuleElement, index: dict, width: int):
-    vec = [0] * width
+def element_vector(e: ModuleElement, index: dict):
+    """Coefficient vector of e in the monomial basis given by index."""
+    vec = [0] * len(index)
     for t, c in e.terms.items():
         vec[index[t]] = c
     return vec
+
+
+def _span(gens, twists, t: int, field):
+    """Echelon of every monomial multiple in degree t of the generators, and
+    the index of the monomial basis of the degree-t piece of the free
+    module with these twists."""
+    index = {b: i for i, b in enumerate(degree_basis(twists, t))}
+    ech = make_echelon(field, len(index))
+    for g in gens:
+        d = g.degree()
+        if d < 0 or d > t:
+            continue
+        for m in monomials_of_degree(t - d):
+            ech.add(element_vector(g.mono_shift(m, field.one), index))
+    return ech, index
 
 
 def hilbert_function(P: PresentedModule, t: int) -> int:
@@ -117,40 +149,17 @@ def hilbert_function(P: PresentedModule, t: int) -> int:
     monomial multiples of the relations in degree t.
     """
     twists = P.generators.twists
-    basis = degree_basis(twists, t)
-    if not basis:
-        return 0
-    index = {b: i for i, b in enumerate(basis)}
-    width = len(basis)
-    field = P.relations[0].field if P.relations else None
-    if field is None:
-        return width
-    ech = make_echelon(field, width)
-    for rel in P.relations:
-        d = rel.degree()
-        if d < 0 or d > t:
-            continue
-        for m in monomials_of_degree(t - d):
-            ech.add(element_vector(rel.mono_shift(m, field.one), index, width))
-    return width - ech.rank
+    if not P.relations:
+        return free_module_dim(twists, t)
+    ech, index = _span(P.relations, twists, t, P.relations[0].field)
+    return len(index) - ech.rank
 
 
 def submodule_dim(gens, twists, t: int) -> int:
     """dim_k of the degree-t piece of the submodule generated by gens."""
-    basis = degree_basis(twists, t)
-    if not basis or not gens:
+    if not gens:
         return 0
-    index = {b: i for i, b in enumerate(basis)}
-    width = len(basis)
-    field = gens[0].field
-    ech = make_echelon(field, width)
-    for g in gens:
-        d = g.degree()
-        if d < 0 or d > t:
-            continue
-        for m in monomials_of_degree(t - d):
-            ech.add(element_vector(g.mono_shift(m, field.one), index, width))
-    return ech.rank
+    return _span(gens, twists, t, gens[0].field)[0].rank
 
 
 def minimal_generators(gens):
@@ -176,15 +185,8 @@ def minimal_generators(gens):
         while i < len(order) and gens[order[i]].degree() == t:
             batch.append(gens[order[i]])
             i += 1
-        basis = degree_basis(twists, t)
-        index = {b: k for k, b in enumerate(basis)}
-        width = len(basis)
-        ech = make_echelon(field, width)
-        for g in kept:
-            d = g.degree()
-            for m in monomials_of_degree(t - d):
-                ech.add(element_vector(g.mono_shift(m, field.one), index, width))
+        ech, index = _span(kept, twists, t, field)
         for g in batch:
-            if ech.add(element_vector(g, index, width)):
+            if ech.add(element_vector(g, index)):
                 kept.append(g)
     return kept

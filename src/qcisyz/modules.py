@@ -4,13 +4,14 @@ A free graded module over S = k[x, y, z] is a twist vector (a_1, ..., a_r)
 standing for S(-a_1) + ... + S(-a_r); a homogeneous element of degree t has
 k-th component zero or homogeneous of degree t - a_k.  Elements are stored
 as flat term maps {(position, monomial): coefficient} so the Groebner
-machinery can treat ideals (rank one) and submodules uniformly.
+machinery can treat ideals (rank one) and submodules uniformly; their
+linear arithmetic is the polynomials' (`poly.TermMap`).
 """
 
 from __future__ import annotations
 
-from .orders import mono_deg, mono_mul
-from .poly import Polynomial
+from .orders import mono_deg
+from .poly import Polynomial, TermMap, add_terms
 
 
 class FreeGradedModule:
@@ -33,13 +34,16 @@ class FreeGradedModule:
         return f"FreeGradedModule{self.twists}"
 
 
-class ModuleElement:
+class ModuleElement(TermMap):
     __slots__ = ("ambient", "field", "terms")
 
     def __init__(self, ambient: FreeGradedModule, field, terms: dict):
         self.ambient = ambient
         self.field = field
         self.terms = terms
+
+    def _like(self, terms):
+        return ModuleElement(self.ambient, self.field, terms)
 
     @classmethod
     def from_components(cls, ambient, field, comps):
@@ -63,9 +67,6 @@ class ModuleElement:
     def components(self):
         return [self.component(i) for i in range(self.ambient.rank)]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Degree of a homogeneous element; -1 if zero."""
         if not self.terms:
@@ -78,59 +79,19 @@ class ModuleElement:
         degs = {mono_deg(m) + tw[p] for p, m in self.terms}
         return len(degs) <= 1
 
-    def __add__(self, other):
-        f = self.field
-        terms = dict(self.terms)
-        zero = f.zero
-        for t, c in other.terms.items():
-            s = f.add(terms.get(t, zero), c)
-            if s == zero:
-                terms.pop(t, None)
-            else:
-                terms[t] = s
-        return ModuleElement(self.ambient, f, terms)
-
-    def __sub__(self, other):
-        f = self.field
-        terms = dict(self.terms)
-        zero = f.zero
-        for t, c in other.terms.items():
-            s = f.sub(terms.get(t, zero), c)
-            if s == zero:
-                terms.pop(t, None)
-            else:
-                terms[t] = s
-        return ModuleElement(self.ambient, f, terms)
-
-    def __neg__(self):
-        f = self.field
-        return ModuleElement(self.ambient, f, {t: f.neg(c) for t, c in self.terms.items()})
-
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        if c == f.zero:
-            return ModuleElement(self.ambient, f, {})
-        return ModuleElement(self.ambient, f, {t: f.mul(v, c) for t, v in self.terms.items()})
-
     def mono_shift(self, m, c):
         """self * c * x^m."""
-        f = self.field
-        return ModuleElement(
-            self.ambient,
-            f,
-            {(p, mono_mul(t, m)): f.mul(v, c) for (p, t), v in self.terms.items()},
+        mul = self.field.mul
+        m0, m1, m2 = m
+        return self._like(
+            {(p, (t[0] + m0, t[1] + m1, t[2] + m2)): mul(v, c) for (p, t), v in self.terms.items()}
         )
 
     def poly_mul(self, p: Polynomial):
-        acc = ModuleElement(self.ambient, self.field, {})
+        acc = {}
         for m, c in p.terms.items():
-            acc = acc + self.mono_shift(m, c)
-        return acc
-
-    def lead(self, key):
-        t = max(self.terms, key=key)
-        return t, self.terms[t]
+            add_terms(self.field, acc, self.mono_shift(m, c).terms)
+        return self._like(acc)
 
     def __eq__(self, other):
         return (

@@ -1,7 +1,8 @@
 """Monomial and module-term orders.
 
-Monomials are exponent triples ``(ex, ey, ez)``.  Every order is exposed as
-a *key function*: larger key means larger monomial, so ``max(terms,
+Monomials are exponent triples ``(ex, ey, ez)``, ordered by grevlex, the
+one monomial order of the package.  Every order is exposed as a *key
+function*: larger key means larger monomial, so ``max(terms,
 key=...)`` picks the lead term and ``sorted(..., reverse=True)`` lists terms
 in decreasing order.
 """
@@ -37,43 +38,18 @@ def grevlex_key(m):
     return (m[0] + m[1] + m[2], -m[2], -m[1])
 
 
-class MonomialOrder:
-    """A total multiplicative order on monomials in x, y, z."""
-
-    def __init__(self, kind: str = "grevlex"):
-        if kind != "grevlex":
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.key = grevlex_key
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.kind == self.kind
-
-    def __hash__(self):
-        return hash(("order", self.kind))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
-GREVLEX = MonomialOrder("grevlex")
-
-
-def top_key(mono_key):
-    """Term-over-position key on (pos, mono); lower position breaks ties.
+def top_key(t):
+    """Term-over-position key on (pos, mono): grevlex on the monomial, lower
+    position breaks ties.
 
     Module keys are flat tuples of ints, so a Groebner run can pack each
     into one integer (see `groebner.TermKeys`).
     """
-
-    def key(t):
-        pos, m = t
-        return (*mono_key(m), -pos)
-
-    return key
+    pos, m = t
+    return (*grevlex_key(m), -pos)
 
 
-def block_elim_key(split: int, mono_key):
+def block_elim_key(split: int):
     """Block order: any term in positions < split beats any term beyond.
 
     Within each block, term-over-position.  Used for syzygy computations,
@@ -83,6 +59,6 @@ def block_elim_key(split: int, mono_key):
 
     def key(t):
         pos, m = t
-        return (pos < split, *mono_key(m), -pos)
+        return (pos < split, *grevlex_key(m), -pos)
 
     return key

@@ -377,53 +377,53 @@ def _h1_report(sigma_gens, j_gens, exponents, b, d, m, field, internals) -> H1Re
     return H1Report(generator_count=q_b.total_at(0), h1_betti=q_b)
 
 
+def _hilbert_agree(res, label, lhs, rhs):
+    """lhs(t) == rhs(t) at every degree t up to three times the largest
+    twist of the resolution res."""
+    bound = 3 * max(max(mod.twists) for mod in res.modules)
+    for t in range(bound + 1):
+        a, b = lhs(t), rhs(t)
+        if a != b:
+            raise InvariantError(f"Hilbert mismatch for {label} at degree {t}: {a} != {b}")
+
+
 def verify_hilbert_consistency(analysis: QciAnalysis):
     """Oracle redundancy: the degree-wise linear-algebra Hilbert evaluator
     must agree with the resolution alternating sum at every degree up to
     three times the largest twist, for each computed resolution."""
     internals = analysis.internals
-    field = analysis.input.field
-
-    def check_presented(pres, res, label):
-        bound = 3 * max(max(mod.twists) for mod in res.modules)
-        for t in range(bound + 1):
-            lhs = hilbert_function(pres, t)
-            rhs = resolution_hilbert_function(res, t)
-            if lhs != rhs:
-                raise InvariantError(
-                    f"Hilbert mismatch for {label} at degree {t}: {lhs} != {rhs}"
-                )
 
     # S / I_sigma as a presented module
     amb1 = FreeGradedModule((0,))
-    sigma_rel = [poly_to_element(g, amb1) for g in internals["sigma_gens"]]
-    s_over_i = PresentedModule(amb1, sigma_rel)
+    s_over_i = PresentedModule(amb1, [poly_to_element(g, amb1) for g in internals["sigma_gens"]])
     sigma_res = internals["sigma_res"]
-    bound = 3 * max(max(mod.twists) for mod in sigma_res.modules)
-    for t in range(bound + 1):
-        lhs = hilbert_function(s_over_i, t)
-        rhs = (t + 1) * (t + 2) // 2 - resolution_hilbert_function(sigma_res, t)
-        if lhs != rhs:
-            raise InvariantError(
-                f"Hilbert mismatch for S/I_sigma at degree {t}: {lhs} != {rhs}"
-            )
+    _hilbert_agree(
+        sigma_res,
+        "S/I_sigma",
+        lambda t: hilbert_function(s_over_i, t),
+        lambda t: (t + 1) * (t + 2) // 2 - resolution_hilbert_function(sigma_res, t),
+    )
 
     # the syzygy submodule AR
-    ar_res = internals["ar_res"]
-    ar_gens = internals["ar_gens"]
-    bound = 3 * max(max(mod.twists) for mod in ar_res.modules)
-    for t in range(bound + 1):
-        lhs = submodule_dim(ar_gens, ar_gens[0].ambient.twists, t)
-        rhs = resolution_hilbert_function(ar_res, t)
-        if lhs != rhs:
-            raise InvariantError(
-                f"Hilbert mismatch for AR at degree {t}: {lhs} != {rhs}"
-            )
+    ar_res, ar_gens = internals["ar_res"], internals["ar_gens"]
+    _hilbert_agree(
+        ar_res,
+        "AR",
+        lambda t: submodule_dim(ar_gens, ar_gens[0].ambient.twists, t),
+        lambda t: resolution_hilbert_function(ar_res, t),
+    )
 
-    if internals.get("n_pres") is not None:
-        check_presented(internals["n_pres"], internals["n_res"], "AR/S*rho1")
-    if internals.get("q_pres") is not None:
-        check_presented(internals["q_pres"], internals["q_res"], "I_sat/J")
+    for pres, res, label in (
+        (internals.get("n_pres"), internals.get("n_res"), "AR/S*rho1"),
+        (internals.get("q_pres"), internals.get("q_res"), "I_sat/J"),
+    ):
+        if pres is not None:
+            _hilbert_agree(
+                res,
+                label,
+                lambda t: hilbert_function(pres, t),
+                lambda t: resolution_hilbert_function(res, t),
+            )
 
     # staircase tau against the Chern bookkeeping
     if analysis.tau != (analysis.d - 1) ** 2 - analysis.c2:

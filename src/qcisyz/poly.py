@@ -2,12 +2,63 @@
 
 from __future__ import annotations
 
-from .orders import GREVLEX, grevlex_key, mono_deg, mono_mul
+from .orders import grevlex_key, mono_deg
 
 VARS = ("x", "y", "z")
 
 
-class Polynomial:
+def add_terms(field, acc: dict, terms: dict, c=None) -> dict:
+    """acc += c * terms in place (c None: the plain sum); returns acc.
+
+    The one term-map arithmetic of the package: keys are monomials or
+    (pos, mono) module terms alike, and a sum that vanishes is dropped.
+    """
+    zero, add, mul = field.zero, field.add, field.mul
+    for t, v in terms.items():
+        if c is not None:
+            v = mul(c, v)
+        old = acc.get(t)
+        s = v if old is None else add(old, v)
+        if s == zero:
+            acc.pop(t, None)
+        else:
+            acc[t] = s
+    return acc
+
+
+class TermMap:
+    """Linear arithmetic shared by polynomials and module elements.
+
+    A subclass stores a map `terms` from keys to nonzero coefficients of
+    `field` and builds its kind of object from a term map in `_like`.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self._like(add_terms(self.field, dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        f = self.field
+        return self._like(add_terms(f, dict(self.terms), other.terms, f.neg(f.one)))
+
+    def __neg__(self):
+        return self.scale(self.field.neg(self.field.one))
+
+    def scale(self, c):
+        f = self.field
+        return self._like(add_terms(f, {}, self.terms, f.coerce(c)))
+
+    def lead(self, key):
+        """(term, coefficient) of the largest term under the order key."""
+        t = max(self.terms, key=key)
+        return t, self.terms[t]
+
+
+class Polynomial(TermMap):
     """A polynomial as a map from exponent triples to nonzero coefficients."""
 
     __slots__ = ("field", "terms")
@@ -16,20 +67,16 @@ class Polynomial:
         self.field = field
         self.terms = terms
 
+    def _like(self, terms):
+        return Polynomial(self.field, terms)
+
     # --- constructors -------------------------------------------------
 
     @classmethod
     def from_terms(cls, field, items):
         terms = {}
-        zero = field.zero
         for m, c in items:
-            c = field.coerce(c)
-            if m in terms:
-                c = field.add(terms[m], c)
-            if c == zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
+            add_terms(field, terms, {m: field.coerce(c)})
         return cls(field, terms)
 
     @classmethod
@@ -48,9 +95,6 @@ class Polynomial:
 
     # --- predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -63,63 +107,21 @@ class Polynomial:
 
     # --- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        f = self.field
-        terms = dict(self.terms)
-        zero = f.zero
-        for m, c in other.terms.items():
-            s = f.add(terms.get(m, zero), c)
-            if s == zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(f, terms)
-
-    def __sub__(self, other):
-        f = self.field
-        terms = dict(self.terms)
-        zero = f.zero
-        for m, c in other.terms.items():
-            s = f.sub(terms.get(m, zero), c)
-            if s == zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(f, terms)
-
-    def __neg__(self):
-        f = self.field
-        return Polynomial(f, {m: f.neg(c) for m, c in self.terms.items()})
-
     def __mul__(self, other):
-        f = self.field
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        terms = {}
-        zero = f.zero
-        mul, add = f.mul, f.add
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = add(terms.get(m, zero), mul(c1, c2))
-                if s == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(f, terms)
-
-    def scale(self, c):
         f = self.field
-        c = f.coerce(c)
-        if c == f.zero:
-            return Polynomial(f, {})
-        return Polynomial(f, {m: f.mul(v, c) for m, v in self.terms.items()})
+        acc = {}
+        for m, c in self.terms.items():
+            add_terms(f, acc, other.mono_shift(m, c).terms)
+        return self._like(acc)
 
     def mono_shift(self, m, c):
         """self * c * x^m."""
-        f = self.field
-        return Polynomial(
-            f, {mono_mul(t, m): f.mul(v, c) for t, v in self.terms.items()}
+        mul = self.field.mul
+        m0, m1, m2 = m
+        return self._like(
+            {(t[0] + m0, t[1] + m1, t[2] + m2): mul(v, c) for t, v in self.terms.items()}
         )
 
     def partial(self, i: int):
@@ -138,17 +140,6 @@ class Polynomial:
             m2[i] = e - 1
             terms[tuple(m2)] = c2
         return Polynomial(f, terms)
-
-    # --- lead terms ---------------------------------------------------
-
-    def lead(self, key=grevlex_key):
-        """(monomial, coefficient) of the lead term."""
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
-
-    def monic(self, key=grevlex_key):
-        _, c = self.lead(key)
-        return self.scale(self.field.inv(c))
 
     # --- equality, printing --------------------------------------------
 
@@ -186,13 +177,13 @@ def _format_monomial(m) -> str:
     return "*".join(parts)
 
 
-def format_polynomial(p: Polynomial, order=GREVLEX) -> str:
+def format_polynomial(p: Polynomial) -> str:
     """Canonical form: terms in decreasing order, explicit * and ^."""
     if not p.terms:
         return "0"
     f = p.field
     out = []
-    for m in sorted(p.terms, key=order.key, reverse=True):
+    for m in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[m]
         cs = f.format(c)
         neg = cs.startswith("-")

@@ -17,7 +17,7 @@ from .errors import InvariantError
 from .linalg import minimal_generators
 from .modules import FreeGradedModule, ModuleElement, PresentedModule, poly_to_element
 from .orders import mono_deg
-from .poly import Polynomial
+from .poly import Polynomial, add_terms
 
 MAX_LENGTH = 3  # Hilbert's syzygy theorem in three variables
 
@@ -128,7 +128,6 @@ class GradedResolution:
 
     def _assert_minimal(self):
         for k, cols in enumerate(self.differentials):
-            twists = self.modules[k].twists
             for col in cols:
                 for (pos, m), _ in col.terms.items():
                     if mono_deg(m) == 0:
@@ -140,14 +139,10 @@ class GradedResolution:
         for k in range(len(self.differentials) - 1):
             lower = self.differentials[k]
             for col in self.differentials[k + 1]:
-                acc = None
-                for j in range(len(lower)):
-                    comp = col.component(j)
-                    if comp.is_zero():
-                        continue
-                    term = lower[j].poly_mul(comp)
-                    acc = term if acc is None else acc + term
-                if acc is not None and not acc.is_zero():
+                acc = {}
+                for j, g in enumerate(lower):
+                    add_terms(g.field, acc, g.poly_mul(col.component(j)).terms)
+                if acc:
                     raise ResolutionError("consecutive differentials do not compose to zero")
 
     @property
@@ -201,7 +196,7 @@ def minimize_presentation(P: PresentedModule) -> PresentedModule:
         if hit is None:
             break
         ri, pos, c = hit
-        pivot = rels[ri]
+        pivot = ModuleElement(P.generators, field, rels[ri])
         inv = field.inv(c)
         for rj, terms in enumerate(rels):
             if rj == ri:
@@ -210,13 +205,7 @@ def minimize_presentation(P: PresentedModule) -> PresentedModule:
             occ = [(t, cc) for t, cc in terms.items() if t[0] == pos]
             for (p, m), cc in occ:
                 factor = field.neg(field.mul(cc, inv))
-                for (p2, m2), c2 in pivot.items():
-                    key = (p2, (m2[0] + m[0], m2[1] + m[1], m2[2] + m[2]))
-                    s = field.add(terms.get(key, field.zero), field.mul(c2, factor))
-                    if s == field.zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
+                add_terms(field, terms, pivot.mono_shift(m, factor).terms)
         del rels[ri]
         del twists[pos]
         remap = lambda p: p if p < pos else p - 1  # noqa: E731

@@ -2,15 +2,13 @@
 
 Each test finishes by printing a single PASS line; a failed assertion marks
 the criterion failed. The shared random corpus (200 triples, s in 2..5,
-fixed master seed) backs criteria 6, 7, 8 and 10.
+fixed master seed; the `corpus` fixture in conftest.py) backs criteria 6,
+7, 8 and 10.
 """
 
-import json
 import time
 
-import pytest
-
-from qcisyz.catalog import catalog_entry, random_qci, search_tau_plus
+from qcisyz.catalog import catalog_entry, search_tau_plus
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import (
@@ -23,8 +21,6 @@ from qcisyz.resolution import BettiTable
 from qcisyz.theorems import check_all
 
 F = PrimeField(32003)
-MASTER_SEED = 20260826
-CORPUS_SIZES = {2: 50, 3: 50, 4: 50, 5: 50}
 
 ALWAYS_APPLICABLE = ("T3", "T4", "T6", "T7", "T9", "T10", "T11")
 
@@ -35,22 +31,6 @@ def announce(n: int, text: str):
 
 def curve(text, field=F):
     return QciInput.curve(parse_polynomial(text, field), text)
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    """200 analyzed+checked random q.c.i. triples over GF(32003)."""
-    out = []
-    i = 0
-    for s, count in CORPUS_SIZES.items():
-        for _ in range(count):
-            seed = MASTER_SEED * 2**32 + i
-            inp = random_qci(s, F, seed)
-            a = analyze(inp)
-            rep = check_all(a)
-            out.append((seed, s, a, rep))
-            i += 1
-    return out
 
 
 def test_criterion_01_nodal_cubic():

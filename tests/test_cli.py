@@ -239,3 +239,13 @@ def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch,
     assert record["incident"]["exit_code"] == code
     assert record["incident"]["error"] == error.__name__
     assert record["incident"]["message"] == "injected failure"
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["analyze", "--curve", "z*y^2 - x^3 - z*x^2"]])
+def test_non_integer_prime_env_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("QCISYZ_PRIME", "abc")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid int value: 'abc'" in err and "Traceback" not in err
+    # a flag on the command line wins over the environment
+    assert cli.main(argv + ["--prime", "101"]) == 0

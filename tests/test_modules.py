@@ -110,3 +110,50 @@ def test_submodule_quotient_presents_quotient_ring_piece():
 def test_submodule_quotient_requires_containment():
     with pytest.raises(ValueError):
         submodule_quotient(polys(["x"]), polys(["y"]))
+
+
+# --- one term-map arithmetic: polynomials and rank-one elements agree ------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qcisyz.fields import QQ  # noqa: E402
+from qcisyz.poly import Polynomial  # noqa: E402
+
+monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def field_polys(draw):
+    """A field, three polynomials over it, a scalar and a monomial; the
+    coefficients are small, so that sums cancel often."""
+    field = draw(st.sampled_from([F, QQ]))
+
+    def poly():
+        d = draw(st.dictionaries(monos, st.integers(-3, 3), max_size=6))
+        return Polynomial.from_terms(field, d.items())
+
+    return field, poly(), poly(), poly(), field.coerce(draw(st.integers(-4, 4))), draw(monos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=field_polys())
+def test_poly_to_element_commutes_with_arithmetic(data):
+    field, f, g, _, c, m = data
+    e, h = poly_to_element(f), poly_to_element(g)
+    assert poly_to_element(f + g) == e + h
+    assert poly_to_element(f - g) == e - h
+    assert poly_to_element(-f) == -e
+    assert poly_to_element(f.scale(c)) == e.scale(c)
+    assert poly_to_element(f.mono_shift(m, c)) == e.mono_shift(m, c)
+    # no stored coefficient is zero
+    for x in (e + h, e - h, e.scale(c), f * g):
+        assert field.zero not in x.terms.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=field_polys())
+def test_poly_mul_is_componentwise_product(data):
+    field, f, g, p, _, _ = data
+    amb = FreeGradedModule((0, 2))
+    e = ModuleElement.from_components(amb, field, [f, g])
+    assert e.poly_mul(p) == ModuleElement.from_components(amb, field, [f * p, g * p])

@@ -46,9 +46,8 @@ def test_lcm_and_divisibility(a, b):
 
 def test_module_keys():
     m, n = (1, 0, 0), (0, 1, 0)
-    top = top_key(grevlex_key)
-    blk = block_elim_key(1, grevlex_key)
+    blk = block_elim_key(1)
     # TOP: monomial first, lower position wins ties
-    assert top((0, m)) > top((1, m)) > top((0, n))
+    assert top_key((0, m)) > top_key((1, m)) > top_key((0, n))
     # block order: positions below the split dominate everything above
     assert blk((0, n)) > blk((1, m))
