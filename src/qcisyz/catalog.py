@@ -114,9 +114,7 @@ def random_qci(s: int, field, seed: int, budget: int = 200) -> QciInput:
         )
         if any(f.is_zero() or f.degree() != s for f in fs):
             continue
-        gb = groebner_basis(list(fs))
-        v = gb._eventual_hf()
-        if v is None or v == 0:
+        if not groebner_basis(list(fs)).colength():  # V infinite (None) or empty (0)
             continue
         return QciInput.triple(*fs)
     raise RuntimeError(f"no valid triple within {budget} draws (s={s}, seed={seed})")

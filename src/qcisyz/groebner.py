@@ -14,12 +14,14 @@ the saturation (see `saturate`).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from functools import lru_cache
 
 from .errors import InputError
 from .modules import FreeGradedModule, ModuleElement, poly_to_element
 from .orders import (
     block_elim_key,
+    hilbert_series_value,
     mono_deg,
     mono_div,
     mono_divides,
@@ -377,58 +379,36 @@ class SubmoduleGB:
         assert self.ambient.rank == 1
         return tuple(sorted(m for _, m in self._plain.leads))
 
-    def zero_dimensional(self) -> bool:
-        """True iff V(I) is finite in P^2 (quotient Krull dim <= 1)."""
-        return self._eventual_hf() is not None
-
-    def _eventual_hf(self):
-        """Eventual Hilbert function of S/I, or None if it keeps growing.
+    def colength(self):
+        """Eventual Hilbert function of S/I, or None when V(I) is not finite.
 
         Beyond the numerator degree the Hilbert function equals the Hilbert
         polynomial (quadratic in t); three equal consecutive values pin it
         to a constant.
         """
         v = _hilbert_polynomial_values([self.lead_monomials()])[0]
-        if v[0] == v[1] == v[2]:
-            return v[0]
-        return None
-
-    def colength(self) -> int:
-        """Eventual Hilbert function of S/I; defined iff V(I) is finite."""
-        v = self._eventual_hf()
-        if v is None:
-            raise ValueError("ideal does not define a finite subscheme")
-        return v
+        return v[0] if v[0] == v[1] == v[2] else None
 
 
 def hilbert_numerator(lead_monomials):
-    """Coefficients of the Hilbert series numerator of S/(monomial ideal)."""
+    """Hilbert series numerator of S/(monomial ideal) over (1-t)^3, as
+    {degree: coefficient} like `resolution.hilbert_series`."""
 
     @lru_cache(maxsize=None)
     def rec(gens):
         if not gens:
-            return (1,)
+            return {0: 1}
         if (0, 0, 0) in gens:
-            return (0,)
+            return {}
         gens = _interreduce_monomials(gens)
-        if len(gens) == 1:
-            g = gens[0]
-            d = mono_deg(g)
-            out = [0] * (d + 1)
-            out[0] = 1
-            out[d] = -1
-            return tuple(out)
+        # S/(rest + head) = S/(rest) - t^deg(head) * S/(rest : head)
         head, rest = gens[-1], gens[:-1]
-        a = rec(rest)
-        colon = tuple(sorted(mono_div(mono_lcm(g, head), head) for g in rest))
-        b = rec(colon)
+        num = Counter(rec(rest))
         d = mono_deg(head)
-        out = list(a) + [0] * max(0, d + len(b) - len(a))
-        for i, c in enumerate(b):
-            out[d + i] -= c
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        colon = tuple(sorted(mono_div(mono_lcm(g, head), head) for g in rest))
+        for a, c in rec(colon).items():
+            num[a + d] -= c
+        return {a: c for a, c in sorted(num.items()) if c}
 
     return rec(_interreduce_monomials(tuple(sorted(lead_monomials))))
 
@@ -437,16 +417,9 @@ def _hilbert_polynomial_values(lead_sets):
     """For each monomial ideal, HF(S/in) at four consecutive degrees past
     every Hilbert numerator degree, where it agrees with the Hilbert
     polynomial; three values fix a polynomial of degree <= 2."""
-    from .linalg import monomials_of_degree
-
-    t0 = max(len(hilbert_numerator(m)) for m in lead_sets)
-    return [
-        [
-            sum(1 for m in monomials_of_degree(t) if not any(mono_divides(g, m) for g in leads))
-            for t in range(t0, t0 + 4)
-        ]
-        for leads in lead_sets
-    ]
+    nums = [hilbert_numerator(m) for m in lead_sets]
+    t0 = max(max(num, default=0) + 1 for num in nums)
+    return [[hilbert_series_value(num, t) for t in range(t0, t0 + 4)] for num in nums]
 
 
 def _interreduce_monomials(gens):

@@ -1,8 +1,12 @@
-"""Exact linear algebra on graded pieces.
+"""Exact linear algebra on graded pieces, by Gaussian elimination over the
+exact field, never via lead terms.
 
-This is the degree-wise evaluator used as an oracle against the Groebner
-machinery: Hilbert functions and minimal generator selection are computed
-by Gaussian elimination over the exact field, never via lead terms.
+`make_echelon` is the one eliminator. It selects minimal generators for the
+resolutions, finds the kernels of the tau_+ search, and runs the degree-wise
+Hilbert evaluator (`hilbert_function`, `submodule_dim`). The analysis takes
+its Hilbert values from series numerators instead; the evaluator is only the
+oracle that `pipeline.verify_hilbert_consistency` holds them against, under
+`analyze(..., deep_checks=True)`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from .fields import PrimeField
 from .modules import ModuleElement, PresentedModule
-from .orders import grevlex_key
+from .orders import grevlex_key, monomial_count
 
 
 @lru_cache(maxsize=None)
@@ -40,12 +44,7 @@ def degree_basis(twists, t: int):
 
 
 def free_module_dim(twists, t: int) -> int:
-    total = 0
-    for a in twists:
-        d = t - a
-        if d >= 0:
-            total += (d + 1) * (d + 2) // 2
-    return total
+    return sum(monomial_count(t - a) for a in twists)
 
 
 class _Echelon:

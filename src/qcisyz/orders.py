@@ -5,6 +5,10 @@ one monomial order of the package.  Every order is exposed as a *key
 function*: larger key means larger monomial, so ``max(terms,
 key=...)`` picks the lead term and ``sorted(..., reverse=True)`` lists terms
 in decreasing order.
+
+It also holds the count of monomials per degree and the one evaluator of a
+Hilbert series numerator over (1-t)^3, which every Hilbert value of the
+analysis goes through.
 """
 
 from __future__ import annotations
@@ -32,6 +36,16 @@ def mono_div(a, b):
 
 def mono_lcm(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+
+
+def monomial_count(t: int) -> int:
+    """Number of monomials of degree t in three variables."""
+    return (t + 1) * (t + 2) // 2 if t >= 0 else 0
+
+
+def hilbert_series_value(num: dict, t: int) -> int:
+    """Degree-t coefficient of num(t)/(1-t)^3, num a {degree: coefficient} map."""
+    return sum(c * monomial_count(t - a) for a, c in num.items())
 
 
 def grevlex_key(m):

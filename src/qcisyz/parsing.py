@@ -7,8 +7,6 @@ operand of / must be an integer literal.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import Polynomial
 
 
@@ -103,10 +101,10 @@ class _Parser:
                 num = self.peek()
                 if num[0] != "int":
                     raise ParseError("division only by integer literals", tok[2])
-                d = self.next()[1]
-                if d == 0:
-                    raise ParseError("division by zero", num[2])
-                p = p.scale(self.field.coerce(Fraction(1, d)))
+                d = self.field.coerce(self.next()[1])
+                if d == self.field.zero:  # 0, or a multiple of p over GF(p)
+                    raise ParseError("division by zero in the coefficient field", num[2])
+                p = p.scale(self.field.inv(d))
             else:
                 return p
 

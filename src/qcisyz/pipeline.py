@@ -2,6 +2,12 @@
 the full invariant record (tau, exponents, second syzygy degrees, Chern
 data, resolutions of the saturated ideal, of the syzygy-quotient module N,
 and of the finite-length module Q = I_sat/J).
+
+Every Hilbert value `analyze` reads comes from a Hilbert series numerator:
+colengths from the grevlex staircase (`groebner.hilbert_numerator`), tau's
+cross-check and deg Z from the computed resolutions. The degree-wise
+linear-algebra evaluator of `linalg` runs only under `deep_checks`, as an
+oracle against those resolutions (`verify_hilbert_consistency`).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .modules import (
     PresentedModule,
     poly_to_element,
 )
-from .orders import grevlex_key
+from .orders import grevlex_key, monomial_count
 from .poly import Polynomial, partial_derivatives
 from .resolution import (
     BettiTable,
@@ -190,7 +196,7 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
         gens = list(inp.polys)
 
     sub = SubmoduleGB(gens, syzygies=True)
-    gb_colength = sub._eventual_hf() if sub.ambient.rank == 1 else None
+    gb_colength = sub.colength()
     if gb_colength is None:
         raise InputError("not a valid q.c.i.: codimension < 2")
     if gb_colength == 0:
@@ -242,7 +248,7 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     # eventual HF of S/I = binom(t+2,2) - HF(I, t); check against tau
     t_big = _sigma_ideal_numerator_degree(sigma_res) + 1
     hf_ideal = resolution_hilbert_function(sigma_res, t_big)
-    if (t_big + 1) * (t_big + 2) // 2 - hf_ideal != tau:
+    if monomial_count(t_big) - hf_ideal != tau:
         raise InvariantError("resolution-based tau disagrees with staircase tau")
 
     sigma_cone_ok = sigma_table_reachable(sigma_betti_table, exponents, b, d)
@@ -255,7 +261,7 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
         "sigma_res": sigma_res,
     }
 
-    z = _z_report(ar_res, exponents, b, d, tau, field, internals)
+    z = _z_report(ar_res, exponents, b, d, field, internals)
     if z.deg_Z != deg_z:
         raise InvariantError("deg Z from Hilbert data disagrees with the Chern formula")
     h1 = _h1_report(sigma_gens, gens, exponents, b, d, m, field, internals)
@@ -297,7 +303,7 @@ def _sigma_ideal_numerator_degree(sigma_res) -> int:
     return max(max(m.twists) for m in sigma_res.modules)
 
 
-def _z_report(ar_res, exponents, b, d, tau, field, internals) -> ZReport:
+def _z_report(ar_res, exponents, b, d, field, internals) -> ZReport:
     """Quotient of the syzygy module by its first minimal-degree generator."""
     f0 = ar_res.modules[0]
     m = f0.rank
@@ -316,14 +322,15 @@ def _z_report(ar_res, exponents, b, d, tau, field, internals) -> ZReport:
         raise InvariantError(
             f"Betti table of AR/S*rho1 {z_b!r} differs from the predicted shape {expected!r}"
         )
-    # degree of Z from the Hilbert data of N = I_Z(d1+1-d)
+    # deg Z from N = I_Z(shift): past every twist of N's resolution,
+    # HF(S/I_Z, t + shift) = binom(t + shift + 2, 2) - HF(N, t), with HF(N, t)
+    # read off that resolution, is the constant deg Z
     shift = d1 + 1 - d
     t = max(max(mod.twists) for mod in n_res.modules) + 2 - shift
-    vals = []
-    for tt in (t, t + 1):
-        hf = hilbert_function(n_pres, tt)
-        u = tt + shift
-        vals.append((u + 1) * (u + 2) // 2 - hf)
+    vals = [
+        monomial_count(tt + shift) - resolution_hilbert_function(n_res, tt)
+        for tt in (t, t + 1)
+    ]
     if vals[0] != vals[1]:
         raise InvariantError("Hilbert function of N did not stabilize")
     deg_z_hilbert = vals[0]
@@ -401,7 +408,7 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
         sigma_res,
         "S/I_sigma",
         lambda t: hilbert_function(s_over_i, t),
-        lambda t: (t + 1) * (t + 2) // 2 - resolution_hilbert_function(sigma_res, t),
+        lambda t: monomial_count(t) - resolution_hilbert_function(sigma_res, t),
     )
 
     # the syzygy submodule AR

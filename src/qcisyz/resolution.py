@@ -16,7 +16,7 @@ from collections import Counter
 from .errors import InvariantError
 from .linalg import minimal_generators
 from .modules import FreeGradedModule, ModuleElement, PresentedModule, poly_to_element
-from .orders import mono_deg
+from .orders import hilbert_series_value, mono_deg
 from .poly import Polynomial, add_terms
 
 MAX_LENGTH = 3  # Hilbert's syzygy theorem in three variables
@@ -254,7 +254,7 @@ def minimal_resolution(X) -> GradedResolution:
 
 
 def hilbert_series(res: GradedResolution):
-    """Numerator coefficients of the Hilbert series over (1-t)^3."""
+    """Numerator of the Hilbert series over (1-t)^3, as {degree: coefficient}."""
     num = Counter()
     sign = 1
     for mod in res.modules:
@@ -262,16 +262,6 @@ def hilbert_series(res: GradedResolution):
             num[a] += sign
         sign = -sign
     return {k: v for k, v in sorted(num.items()) if v}
-
-
-def hilbert_series_value(num: dict, t: int) -> int:
-    """Degree-t coefficient of num(t)/(1-t)^3."""
-    total = 0
-    for a, c in num.items():
-        d = t - a
-        if d >= 0:
-            total += c * (d + 1) * (d + 2) // 2
-    return total
 
 
 def resolution_hilbert_function(res: GradedResolution, t: int) -> int:

@@ -44,6 +44,13 @@ def test_exit_code_invalid_input(capsys):
     assert run(capsys, "analyze", "--curve", "x^3", "--triple", "x", "y", "z")[0] == 2
 
 
+def test_division_by_the_characteristic_is_a_usage_error(capsys):
+    # 1/2 has no value in GF(2); over the rationals the same curve parses
+    code, out = run(capsys, "analyze", "--curve", "x/2*y*z + x^3", "--prime", "2")
+    assert code == 2 and out == ""
+    assert run(capsys, "analyze", "--curve", "x/2*y*z + x^3", "--field", "q")[0] == 0
+
+
 def test_check_passes_on_catalog_curve(capsys):
     code, doc = run_json(
         capsys, "check", "--curve", "(x^3+y^3+z^3)*(x+y+z)", "--statements", "T11,T12"

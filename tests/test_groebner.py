@@ -10,6 +10,7 @@ from qcisyz.groebner import (
     RawBasis,
     SubmoduleGB,
     TermKeys,
+    _hilbert_polynomial_values,
     _normal_form_terms,
     colon,
     groebner_basis,
@@ -187,11 +188,9 @@ def test_saturate_raises_when_every_line_meets_the_subscheme():
 
 def test_zero_dimensional_and_colength():
     gb = groebner_basis(polys(["x", "y"]))
-    assert gb.zero_dimensional() and gb.colength() == 1
+    assert gb.colength() == 1
     gb2 = groebner_basis(polys(["x"]))
-    assert not gb2.zero_dimensional()
-    with pytest.raises(ValueError):
-        gb2.colength()
+    assert gb2.colength() is None  # V(x) is a line
     # three points from a cone curve's singular locus
     f = parse_polynomial("x^3 + y^3 + z^3 - 3*x*y*z", F)
     gb3 = groebner_basis(list(partial_derivatives(f)))
@@ -202,7 +201,37 @@ def test_hilbert_numerator_matches_staircase():
     gb = groebner_basis(polys(["x^2", "y^3"]))
     num = hilbert_numerator(tuple(e.lead(gb.keyfn)[0][1] for e in gb.basis))
     # S/(x^2, y^3): series (1-t^2)(1-t^3)/(1-t)^3
-    assert tuple(num) == (1, 0, -1, -1, 0, 1)
+    assert num == {0: 1, 2: -1, 3: -1, 5: 1}
+
+
+def _standard_monomial_count(leads, t):
+    """Degree-t monomials divisible by no lead, counted one by one."""
+    from qcisyz.linalg import monomials_of_degree
+
+    return sum(1 for m in monomials_of_degree(t) if not any(mono_divides(g, m) for g in leads))
+
+
+_monomial_ideals = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=_monomial_ideals, second=_monomial_ideals)
+def test_staircase_values_match_standard_monomial_count(first, second):
+    values = _hilbert_polynomial_values([first, second])
+    t0 = max(max(hilbert_numerator(leads), default=0) + 1 for leads in (first, second))
+    for leads, got in zip((first, second), values):
+        assert got == [_standard_monomial_count(leads, t) for t in range(t0, t0 + 4)]
+    # the numerator's degree is at most that of the lcm of all leads, 9, so
+    # from degree 9 on HF(S/I) is its Hilbert polynomial: constant iff V(I)
+    # is finite, and then the colength
+    eventual = [_standard_monomial_count(first, t) for t in (9, 10, 11)]
+    expected = eventual[0] if eventual[0] == eventual[1] == eventual[2] else None
+    gb = groebner_basis([Polynomial(F, {m: F.one}) for m in first])
+    assert gb.colength() == expected
+    # V(I) is infinite iff I lies in some (v): one variable divides every lead
+    assert (expected is None) == any(all(m[i] for m in first) for i in range(3))
 
 
 def test_representation_recovers_membership():

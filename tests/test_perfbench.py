@@ -1,0 +1,27 @@
+"""The traced benchmark run still works against this source tree.
+
+`perfbench/spans.py` wraps program functions by name; a rename or deletion in
+`src/` breaks only the traced run, so each workload is traced once at its
+self-test size.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["qci-fp", "qci-q", "oracle-fp"])
+def test_traced_benchmark_runs(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "1", "--tiny"]
+    proc = subprocess.run(
+        [sys.executable, str(RUN), *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0
+    assert "linalg.hilbert_function_calls" in result["metrics"]

@@ -1,5 +1,7 @@
 import pytest
 
+from qcisyz import pipeline
+from qcisyz.catalog import catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import (
@@ -152,3 +154,26 @@ def test_rationals_and_prime_field_agree():
             ap.second_syzygy_degrees,
         )
         assert aq.sigma_betti == ap.sigma_betti
+
+
+def test_default_path_runs_no_degreewise_hilbert_evaluator(monkeypatch):
+    evaluator = pipeline.hilbert_function
+
+    def refuse(*args):
+        raise AssertionError("the degree-wise Hilbert evaluator ran outside deep_checks")
+
+    monkeypatch.setattr(pipeline, "hilbert_function", refuse)
+    a = analyze(catalog_entry("lines-4").input_over(QQ))
+    assert (a.tau, a.deg_Z, a.z.deg_Z) == (6, 1, 1)
+    b = analyze(random_qci(3, F, 0))
+    assert b.z.deg_Z == b.deg_Z
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluator(*args)
+
+    monkeypatch.setattr(pipeline, "hilbert_function", counting)
+    analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
+    assert calls
