@@ -1,9 +1,10 @@
 """Command-line surface: analyze, check, fuzz, catalog, search-tau-plus.
 
-Exit codes: 0 success, 2 invalid input, 3 internal invariant failure,
-4 check violations. A fuzz run that finishes exits 0: its summary counts
-the check incidents and the instances that raised (`failures`, with the
-exit code each maps to), and --quarantine keeps a replay record of each.
+Exit codes: 0 success, 2 invalid input or an output file that cannot be
+written, 3 internal invariant failure, 4 check violations. A fuzz run that
+finishes exits 0: its summary counts the check incidents and the instances
+that raised (`failures`, with the exit code each maps to), and --quarantine
+keeps a replay record of each.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from multiprocessing import Pool
 
 from .catalog import builtin_catalog, random_qci, search_tau_plus
@@ -65,12 +67,22 @@ def _build_input(args) -> QciInput:
     return QciInput.triple(*polys, texts=tuple(args.triple))
 
 
+@contextmanager
+def _writing_output():
+    """An output that cannot be written is a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(str(e)) from e
+
+
 def _emit(text: str, args) -> None:
-    if getattr(args, "output_file", None):
-        with open(args.output_file, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _writing_output():
+        if getattr(args, "output_file", None):
+            with open(args.output_file, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
 
 
 def cmd_analyze(args) -> int:
@@ -152,23 +164,24 @@ def cmd_fuzz(args) -> int:
         for inc in r["incidents"]:
             incidents.append((r, inc))
     if args.quarantine and incidents:
-        os.makedirs(args.quarantine, exist_ok=True)
-        for r, inc in incidents:
-            path = os.path.join(args.quarantine, f"{r['seed']}-{inc['id']}.json")
-            record = {
-                "replay": {
-                    "s": r["s"],
-                    "seed": r["seed"],
-                    "field": args.field,
-                    "prime": args.prime,
-                    "input": r["input"],
-                },
-                "incident": inc,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "wall_time": round(time.time() - started, 3),
-            }
-            with open(path, "w") as fh:
-                fh.write(render_json(record))
+        with _writing_output():
+            os.makedirs(args.quarantine, exist_ok=True)
+            for r, inc in incidents:
+                path = os.path.join(args.quarantine, f"{r['seed']}-{inc['id']}.json")
+                record = {
+                    "replay": {
+                        "s": r["s"],
+                        "seed": r["seed"],
+                        "field": args.field,
+                        "prime": args.prime,
+                        "input": r["input"],
+                    },
+                    "incident": inc,
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                    "wall_time": round(time.time() - started, 3),
+                }
+                with open(path, "w") as fh:
+                    fh.write(render_json(record))
 
     # occupancy of (d1, tau) against the bounds, per d1
     occupancy = {}

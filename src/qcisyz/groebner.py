@@ -246,31 +246,16 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
         if terms:
             add_elem(terms)
 
-    # interreduce to the unique reduced basis; each element is reduced by
-    # the already reduced ones, then by the later ones, in that order
-    changed = True
-    while changed:
-        changed = False
-        G, leads = _sorted_with_leads(G, leads, keys)
-        rest = _index_leads(G, leads)
-        out, out_leads, out_pos = [], [], {}
-        for e, (pos, _) in zip(G, leads):
-            rest[pos].pop(0)
-            by_pos = {
-                p: out_pos.get(p, []) + rest.get(p, []) for p in out_pos.keys() | rest.keys()
-            }
-            terms = _normal_form_terms(e.terms, field, by_pos, keys)
-            if not terms:
-                changed = True
-                continue
-            lead = next(iter(terms))
-            r = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
-            if r.terms != e.terms:
-                changed = True
-            out.append(r)
-            out_leads.append(lead)
-            out_pos.setdefault(lead[0], []).append((lead[1], r.terms))
-        G, leads = out, out_leads
+    # Elements joined in non-decreasing degree, each fully reduced by the
+    # earlier ones, so no lead divides another and G is a minimal basis.
+    # Replacing each tail by its normal form against G gives the reduced
+    # basis; a tail term has the lead's degree, so the own lead never
+    # divides it.
+    for i, (e, lead) in enumerate(zip(G, leads)):
+        tail = dict(e.terms)
+        terms = {lead: tail.pop(lead)}
+        terms.update(_normal_form_terms(tail, field, by_pos, keys))
+        G[i] = ModuleElement(ambient, field, terms)
     G, leads = _sorted_with_leads(G, leads, keys)
     return RawBasis(ambient, field, keyfn, G, leads, keys)
 
@@ -279,7 +264,8 @@ class SubmoduleGB:
     """Groebner data for a submodule given by generators.
 
     With syzygies=True the block computation also yields generators of the
-    syzygy module of the input generators and membership certificates.
+    syzygy module of the input generators (`syzygies`) and membership
+    certificates (`representation`); without it, neither is available.
     """
 
     def __init__(self, gens, syzygies=False):
@@ -292,8 +278,6 @@ class SubmoduleGB:
         self.keyfn = top_key
         self.gen_degrees = tuple(g.degree() for g in elems)
         self.syz_ambient = FreeGradedModule(self.gen_degrees)
-        self._block = None
-        self._plain = None
         if syzygies:
             self._compute_block()
         else:
@@ -329,7 +313,7 @@ class SubmoduleGB:
                 syz.append(ModuleElement(self.syz_ambient, field, epart))
         self._block = basis
         self._block_split = k
-        self._syzygies = syz
+        self.syzygies = syz
         self._plain = RawBasis(self.ambient, self.field, self.keyfn, gb, gb_leads)
 
     # --- public surface -------------------------------------------------
@@ -350,16 +334,8 @@ class SubmoduleGB:
     def contains(self, v) -> bool:
         return self.normal_form(v).is_zero()
 
-    @property
-    def syzygies(self):
-        if self._block is None:
-            self._compute_block()
-        return self._syzygies
-
     def representation(self, v) -> ModuleElement:
         """Cofactors a with v = sum a_i * gens_i; raises if v not a member."""
-        if self._block is None:
-            self._compute_block()
         if isinstance(v, Polynomial):
             v = poly_to_element(v, self.ambient)
         big = FreeGradedModule(self.ambient.twists + self.gen_degrees)
@@ -469,12 +445,6 @@ def _prune_ideal_gens(gens):
     return [e.component(0) for e in kept]
 
 
-def ideal_equal(I, J) -> bool:
-    gi = groebner_basis(I)
-    gj = groebner_basis(J)
-    return [e.terms for e in gi.basis] == [e.terms for e in gj.basis]
-
-
 def submodule_quotient(M, N):
     """Present <M>/<N> with generators M.
 
@@ -524,8 +494,9 @@ def _strip_z(p: Polynomial) -> Polynomial:
     return Polynomial(p.field, {(m[0], m[1], m[2] - k): c for m, c in p.terms.items()})
 
 
-def saturate(gens):
-    """Generators of the saturation of I = (gens) at (x, y, z).
+def saturate(gb: SubmoduleGB) -> SubmoduleGB:
+    """The reduced grevlex basis of the saturation of I at (x, y, z), from
+    gb, a Groebner basis of the ideal I (a `SubmoduleGB` of rank one).
 
     One pass after Bayer and Stillman: if a linear form l lies in no
     associated prime of I other than the irrelevant one, I^sat = I : l^inf.
@@ -537,12 +508,11 @@ def saturate(gens):
     associated point. Before that, a line is tested on the binary forms
     I + (l) restricts to: l is a nonzerodivisor modulo I^sat iff
     HP(S/(I + l))(t) = HP(S/I)(t) - HP(S/I)(t - 1). The result is moved
-    back and returned as a minimal subset of its reduced grevlex basis.
+    back, and its reduced basis returned.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    field = gens[0].field
+    gens = [e.component(0) for e in gb.gens]
+    field = gb.field
     z = Polynomial.variable(field, 2)
-    gb = groebner_basis(gens)
     leads = gb.lead_monomials()
     for a, b in _line_candidates(field):
         moved = [_shear(g, field.neg(a), field.neg(b)) for g in gens]
@@ -555,9 +525,7 @@ def saturate(gens):
         hp, hp_colon = _hilbert_polynomial_values([leads, colon_leads])
         if hp_colon != hp:
             continue
-        sat = [_shear(_strip_z(e.component(0)), a, b) for e in moved_gb.basis]
-        reduced = [e.component(0) for e in groebner_basis(sat).basis]
-        return _prune_ideal_gens(reduced)
+        return groebner_basis([_shear(_strip_z(e.component(0)), a, b) for e in moved_gb.basis])
     raise InputError(
         f"no line z + a*x + b*y over GF({field.prime}) avoids the subscheme; "
         "the saturation needs a larger field"

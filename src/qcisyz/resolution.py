@@ -154,23 +154,18 @@ def betti(res: GradedResolution) -> BettiTable:
     return BettiTable.from_twists([m.twists for m in res.modules])
 
 
-def _resolve_from(gens, field):
-    """Iterated minimal syzygies starting from a minimal generating set."""
+def _resolve_from(gens):
+    """Free modules and minimal generators of each step: a minimal subset of
+    gens, then minimal syzygies of the step before, until there are none."""
     from .groebner import SubmoduleGB
 
-    modules = []
-    differentials = []
-    current = minimal_generators(gens)
-    modules.append(FreeGradedModule(tuple(g.degree() for g in current)))
-    while current:
-        sub = SubmoduleGB(current, syzygies=True)
-        syz = minimal_generators(sub.syzygies)
+    steps = [minimal_generators(gens)]
+    while steps[-1]:
+        syz = minimal_generators(SubmoduleGB(steps[-1], syzygies=True).syzygies)
         if not syz:
             break
-        modules.append(FreeGradedModule(tuple(s.degree() for s in syz)))
-        differentials.append(syz)
-        current = syz
-    return modules, differentials
+        steps.append(syz)
+    return [FreeGradedModule(tuple(g.degree() for g in step)) for step in steps], steps
 
 
 def minimize_presentation(P: PresentedModule) -> PresentedModule:
@@ -230,17 +225,11 @@ def minimal_resolution(X) -> GradedResolution:
     """
     if isinstance(X, PresentedModule):
         P = minimize_presentation(X)
-        f0 = P.generators
         if not P.relations:
-            return GradedResolution([f0], [])
-        field = P.relations[0].field
-        rel_min = minimal_generators(P.relations)
-        modules = [f0, FreeGradedModule(tuple(r.degree() for r in rel_min))]
-        differentials = [rel_min]
-        tail_modules, tail_diffs = _resolve_from(rel_min, field)
-        modules.extend(tail_modules[1:])
-        differentials.extend(tail_diffs)
-        return GradedResolution(modules, differentials)
+            return GradedResolution([P.generators], [])
+        # the relations' minimal generators are the first differential
+        modules, steps = _resolve_from(P.relations)
+        return GradedResolution([P.generators] + modules, steps)
 
     gens = list(X)
     if not gens:
@@ -248,9 +237,8 @@ def minimal_resolution(X) -> GradedResolution:
     if isinstance(gens[0], Polynomial):
         amb = FreeGradedModule((0,))
         gens = [poly_to_element(g, amb) for g in gens]
-    field = gens[0].field
-    modules, differentials = _resolve_from(gens, field)
-    return GradedResolution(modules, differentials)
+    modules, steps = _resolve_from(gens)
+    return GradedResolution(modules, steps[1:])
 
 
 def hilbert_series(res: GradedResolution):

@@ -256,3 +256,36 @@ def test_non_integer_prime_env_is_a_usage_error(capsys, monkeypatch, argv):
     assert "invalid int value: 'abc'" in err and "Traceback" not in err
     # a flag on the command line wins over the environment
     assert cli.main(argv + ["--prime", "101"]) == 0
+
+
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code = cli.main(["analyze", "--curve", "x*y*z", "--output-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("blocked", ["directory", "record"])
+def test_unwritable_quarantine_is_a_usage_error(tmp_path, capsys, monkeypatch, blocked):
+    real = cli._fuzz_one
+
+    def corrupted(task):
+        r = real(task)
+        r["incidents"] = [{"id": "T4", "severity": "violation"}]
+        return r
+
+    monkeypatch.setattr(cli, "_fuzz_one", corrupted)
+    if blocked == "directory":
+        # a plain file where the quarantine directory would go
+        (tmp_path / "file").write_text("")
+        qdir = tmp_path / "file" / "q"
+    else:
+        # a directory where the replay record would go
+        qdir = tmp_path / "q"
+        (qdir / f"{5 * 2**32}-T4.json").mkdir(parents=True)
+    code = cli.main(["fuzz", "--s", "2", "--count", "1", "--seed", "5", "--quarantine", str(qdir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

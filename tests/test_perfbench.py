@@ -2,7 +2,9 @@
 
 `perfbench/spans.py` wraps program functions by name; a rename or deletion in
 `src/` breaks only the traced run, so each workload is traced once at its
-self-test size.
+self-test size. Its work counters repeat exactly from run to run, so they
+also gate the Groebner work per operation: each ideal and module gets one
+basis (12 Buchberger runs and 50 basis elements on these inputs).
 """
 
 import json
@@ -24,4 +26,7 @@ def test_traced_benchmark_runs(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0 and result["attempted"] > 0
-    assert "linalg.hilbert_function_calls" in result["metrics"]
+    metrics = result["metrics"]
+    assert "linalg.hilbert_function_calls" in metrics
+    assert metrics["groebner.buchberger_calls"]["value"] <= 12
+    assert metrics["groebner.basis_elements"]["value"] <= 50

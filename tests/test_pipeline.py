@@ -1,8 +1,9 @@
 import pytest
 
-from qcisyz import pipeline
+from qcisyz import groebner, pipeline
 from qcisyz.catalog import catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
+from qcisyz.orders import top_key
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import (
     InputError,
@@ -177,3 +178,29 @@ def test_default_path_runs_no_degreewise_hilbert_evaluator(monkeypatch):
     monkeypatch.setattr(pipeline, "hilbert_function", counting)
     analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
     assert calls
+
+
+def test_analyze_computes_each_reduced_basis_once(monkeypatch):
+    """No Buchberger run without syzygies returns a reduced basis that an
+    earlier run of the same `analyze` produced; a syzygy run counts by its
+    F-part, the basis of the submodule itself. Saturation's probes I' + (z)
+    are left out: two lines can cut out the same ideal."""
+    real = groebner.buchberger
+    runs = []
+
+    def recording(gens, ambient, field, keyfn):
+        basis = real(gens, ambient, field, keyfn)
+        plain = keyfn is top_key
+        split = ambient.rank if plain else ambient.rank - len(gens)
+        fparts = (frozenset((t, c) for t, c in e.terms.items() if t[0] < split) for e in basis.elements)
+        runs.append((plain, (ambient.twists[:split], tuple(f for f in fparts if f))))
+        return basis
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    z = frozenset({((0, (0, 0, 1)), 1)})
+    for inp in (catalog_entry("lines-4").input_over(QQ), random_qci(5, F, 0)):
+        runs.clear()
+        analyze(inp)
+        for i, (plain, key) in enumerate(runs):
+            if plain and z not in key[1]:
+                assert key not in [k for _, k in runs[:i]], f"run {i} repeats an earlier basis"
