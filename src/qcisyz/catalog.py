@@ -91,7 +91,10 @@ def random_nonzero_form(field, deg: int, rng: random.Random) -> Polynomial:
             return f
 
 
-def random_qci(s: int, field, seed: int, budget: int = 200) -> QciInput:
+RANDOM_QCI_DRAWS = 200  # triples drawn before random_qci gives up
+
+
+def random_qci(s: int, field, seed: int) -> QciInput:
     """Three random degree-s forms with finite, nonempty common zeros.
 
     A generic triple has empty common zero locus, so the triple is drawn
@@ -102,7 +105,7 @@ def random_qci(s: int, field, seed: int, budget: int = 200) -> QciInput:
     if s < 2:
         raise ValueError("triple degree must be at least 2")
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(RANDOM_QCI_DRAWS):
         dg = rng.randint(1, s - 1)
         dh = rng.randint(1, s - dg)
         g = random_nonzero_form(field, dg, rng)
@@ -117,7 +120,7 @@ def random_qci(s: int, field, seed: int, budget: int = 200) -> QciInput:
         if not groebner_basis(list(fs)).colength():  # V infinite (None) or empty (0)
             continue
         return QciInput.triple(*fs)
-    raise RuntimeError(f"no valid triple within {budget} draws (s={s}, seed={seed})")
+    raise RuntimeError(f"no valid triple within {RANDOM_QCI_DRAWS} draws (s={s}, seed={seed})")
 
 
 # --- extremal-tau search ----------------------------------------------

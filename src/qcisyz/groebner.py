@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InputError
-from .modules import FreeGradedModule, ModuleElement, poly_to_element
+from .modules import FreeGradedModule, ModuleElement, drop_generators, poly_to_element
 from .orders import (
     block_elim_key,
     hilbert_series_value,
@@ -142,17 +142,15 @@ class RawBasis:
     """A monic interreduced Groebner basis of a submodule, with its order.
 
     leads[i] is the lead term of elements[i]; keys memoizes the order keys
-    (both are computed from keyfn when not given).
+    (computed from keyfn when not given).
     """
 
-    def __init__(self, ambient, field, keyfn, elements, leads=None, keys=None):
+    def __init__(self, ambient, field, keyfn, elements, leads, keys=None):
         self.ambient = ambient
         self.field = field
         self.keyfn = keyfn
         self.elements = elements
         self.keys = TermKeys(keyfn) if keys is None else keys
-        if leads is None:
-            leads = [self.keys.lead(e.terms) for e in elements]
         self.leads = leads
         self.by_pos = _index_leads(elements, leads)
 
@@ -355,6 +353,11 @@ class SubmoduleGB:
         assert self.ambient.rank == 1
         return tuple(sorted(m for _, m in self._plain.leads))
 
+    @cached_property
+    def numerator(self):
+        """Hilbert series numerator of S/I, from the staircase of the leads."""
+        return hilbert_numerator(self.lead_monomials())
+
     def colength(self):
         """Eventual Hilbert function of S/I, or None when V(I) is not finite.
 
@@ -362,7 +365,7 @@ class SubmoduleGB:
         polynomial (quadratic in t); three equal consecutive values pin it
         to a constant.
         """
-        v = _hilbert_polynomial_values([self.lead_monomials()])[0]
+        v = _hilbert_polynomial_values([self.numerator])[0]
         return v[0] if v[0] == v[1] == v[2] else None
 
 
@@ -389,11 +392,10 @@ def hilbert_numerator(lead_monomials):
     return rec(_interreduce_monomials(tuple(sorted(lead_monomials))))
 
 
-def _hilbert_polynomial_values(lead_sets):
-    """For each monomial ideal, HF(S/in) at four consecutive degrees past
-    every Hilbert numerator degree, where it agrees with the Hilbert
-    polynomial; three values fix a polynomial of degree <= 2."""
-    nums = [hilbert_numerator(m) for m in lead_sets]
+def _hilbert_polynomial_values(nums):
+    """For each Hilbert series numerator, the Hilbert function at four
+    consecutive degrees past every numerator's degree, where it agrees with
+    the Hilbert polynomial; three values fix a polynomial of degree <= 2."""
     t0 = max(max(num, default=0) + 1 for num in nums)
     return [[hilbert_series_value(num, t) for t in range(t0, t0 + 4)] for num in nums]
 
@@ -446,20 +448,22 @@ def _prune_ideal_gens(gens):
 
 
 def submodule_quotient(M, N):
-    """Present <M>/<N> with generators M.
+    """Present <M>/<N> on the elements of M that are not in N.
 
-    Relations are the syzygies of M together with expressions of each
-    element of N in terms of M; raises if some element of N is not in <M>.
-    The presentation is not minimized here.
+    A position of M that holds an element of N is zero in the quotient and is
+    dropped. The relations are the syzygies of M and the expressions of the
+    other elements of N in terms of M, less their entries at the dropped
+    positions; raises ValueError if some element of N is not in <M>. When M
+    is a minimal generating set of <M> in which the elements of N it holds
+    span <N> modulo the maximal ideal times <M>, no relation has a constant
+    entry: the presentation is minimal (graded Nakayama).
     """
-    from .modules import PresentedModule
-
     sub = SubmoduleGB(M, syzygies=True)
-    relations = list(sub.syzygies)
-    for n in N:
-        relations.append(sub.representation(n))
-    relations = [r for r in relations if not r.is_zero()]
-    return PresentedModule(sub.syz_ambient, relations)
+    n_elems, _ = _as_elements(list(N))
+    in_m, in_n = set(sub.gens), set(n_elems)
+    relations = sub.syzygies + [sub.representation(n) for n in n_elems if n not in in_m]
+    dropped = {i for i, g in enumerate(sub.gens) if g in in_n}
+    return drop_generators(sub.syz_ambient, relations, dropped)
 
 
 def _shear(p: Polynomial, a, b) -> Polynomial:
@@ -513,16 +517,15 @@ def saturate(gb: SubmoduleGB) -> SubmoduleGB:
     gens = [e.component(0) for e in gb.gens]
     field = gb.field
     z = Polynomial.variable(field, 2)
-    leads = gb.lead_monomials()
     for a, b in _line_candidates(field):
         moved = [_shear(g, field.neg(a), field.neg(b)) for g in gens]
-        cut = groebner_basis(moved + [z]).lead_monomials()
-        hp, hp_cut = _hilbert_polynomial_values([leads, cut])
+        cut = groebner_basis(moved + [z]).numerator
+        hp, hp_cut = _hilbert_polynomial_values([gb.numerator, cut])
         if any(hp_cut[i] != hp[i] - hp[i - 1] for i in (1, 2, 3)):
             continue
         moved_gb = gb if moved == gens else groebner_basis(moved)
         colon_leads = [(m[0], m[1], 0) for m in moved_gb.lead_monomials()]
-        hp, hp_colon = _hilbert_polynomial_values([leads, colon_leads])
+        hp, hp_colon = _hilbert_polynomial_values([gb.numerator, hilbert_numerator(colon_leads)])
         if hp_colon != hp:
             continue
         return groebner_basis([_shear(_strip_z(e.component(0)), a, b) for e in moved_gb.basis])

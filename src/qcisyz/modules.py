@@ -55,10 +55,6 @@ class ModuleElement(TermMap):
                 terms[(pos, m)] = c
         return cls(ambient, field, terms)
 
-    @classmethod
-    def basis_vector(cls, ambient, field, pos: int):
-        return cls(ambient, field, {(pos, (0, 0, 0)): field.one})
-
     def component(self, pos: int) -> Polynomial:
         return Polynomial(
             self.field, {m: c for (p, m), c in self.terms.items() if p == pos}
@@ -131,3 +127,19 @@ class PresentedModule:
 
     def __repr__(self):
         return f"PresentedModule(gens={self.generators.twists}, nrel={len(self.relations)})"
+
+
+def drop_generators(generators: FreeGradedModule, relations, dropped) -> PresentedModule:
+    """The module presented by `relations` on `generators` with the
+    generators at the positions `dropped` set to zero, presented on the
+    others (renumbered in order): each relation loses its entries at
+    `dropped`, and a relation that becomes zero is left out."""
+    keep = [p for p in range(generators.rank) if p not in dropped]
+    new_pos = {p: k for k, p in enumerate(keep)}
+    ambient = FreeGradedModule(tuple(generators.twists[p] for p in keep))
+    out = []
+    for r in relations:
+        terms = {(new_pos[p], m): c for (p, m), c in r.terms.items() if p in new_pos}
+        if terms:
+            out.append(ModuleElement(ambient, r.field, terms))
+    return PresentedModule(ambient, out)

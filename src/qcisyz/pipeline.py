@@ -14,10 +14,15 @@ basis and its syzygies; `saturate` starts from that basis and returns the
 reduced basis of the saturation Sigma, which gives tau and Sigma's minimal
 generators. Reduced bases are unique, so the free case's check that J is
 saturated compares the two bases.
+
+The quotient modules N and Q are presented on their minimal generators,
+so their presentations have no constant entry and `minimal_resolution`
+resolves them as given (see `_z_report` and `_h1_report`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -29,6 +34,7 @@ from .modules import (
     FreeGradedModule,
     ModuleElement,
     PresentedModule,
+    drop_generators,
     poly_to_element,
 )
 from .orders import grevlex_key, monomial_count
@@ -36,6 +42,7 @@ from .poly import Polynomial, partial_derivatives
 from .resolution import (
     BettiTable,
     betti,
+    hilbert_series,
     minimal_resolution,
     resolution_hilbert_function,
     sigma_table_reachable,
@@ -186,14 +193,10 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     if isinstance(field, PrimeField) and field.prime < 4 * d * d:
         warnings.append(f"small characteristic {field.prime} < 4*d^2")
 
-    if inp.mode == "curve":
-        gens = jacobian_ideal(inp.polys[0])
-        # a vanishing partial makes V(J) positive-dimensional; catch it
-        # before it breaks the syzygy bookkeeping
-        if any(g.is_zero() for g in gens):
-            raise InputError("not a valid q.c.i.: a partial derivative vanishes")
-    else:
-        gens = list(inp.polys)
+    gens = jacobian_ideal(inp.polys[0]) if inp.mode == "curve" else list(inp.polys)
+    # forms of one degree: minimal generators are a maximal independent subset
+    if len(minimal_generators([poly_to_element(g) for g in gens])) < 3:
+        raise InputError("not a valid q.c.i.: the three forms are linearly dependent")
 
     sub = SubmoduleGB(gens, syzygies=True)
     gb_colength = sub.colength()
@@ -224,9 +227,10 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     if (m == 2) != (len(b) == 0):
         raise InvariantError("free/second-syzygy mismatch")
 
-    # saturation and tau
+    # saturation and tau; J's generators come first, so each that is a
+    # minimal generator of Sigma is kept as itself (see _h1_report)
     sigma_gb = saturate(sub)
-    sigma_gens = [e.component(0) for e in minimal_generators(sigma_gb.basis)]
+    sigma_gens = [e.component(0) for e in minimal_generators(sub.gens + sigma_gb.basis)]
     tau = sigma_gb.colength()
     if tau != gb_colength:
         raise InvariantError("eventual Hilbert values of J and its saturation differ")
@@ -260,12 +264,12 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
         "sigma_res": sigma_res,
     }
 
-    z = _z_report(ar_res, exponents, b, d, field, internals)
+    z = _z_report(ar_res, exponents, b, d, internals)
     if z.deg_Z != deg_z:
         raise InvariantError("deg Z from Hilbert data disagrees with the Chern formula")
     if m == 2 and sigma_gb.basis != sub.basis:
         raise InvariantError("free case but the q.c.i. ideal is not saturated")
-    h1 = _h1_report(sigma_gens, gens, exponents, b, d, m, internals)
+    h1 = _h1_report(sigma_gens, sub, sigma_gb, exponents, b, d, m, internals)
 
     from .theorems import classify as _classify
 
@@ -304,16 +308,18 @@ def _sigma_ideal_numerator_degree(sigma_res) -> int:
     return max(max(m.twists) for m in sigma_res.modules)
 
 
-def _z_report(ar_res, exponents, b, d, field, internals) -> ZReport:
+def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
     """Quotient of the syzygy module by its first minimal-degree generator."""
     f0 = ar_res.modules[0]
     m = f0.rank
     d1 = exponents[0]
-    relations = list(ar_res.differentials[0]) if ar_res.length >= 1 else []
-    # kill the chosen generator: the minimal generators are sorted by degree,
-    # so index 0 has degree d_1
-    kill = ModuleElement.basis_vector(f0, field, 0)
-    n_pres = PresentedModule(f0, relations + [kill])
+    # drop rho_1, the generator at index 0 (the minimal generators are sorted
+    # by degree): ar_res's first differential less its rho_1 row presents N
+    # on rho_2..rho_m. The projection is injective, as a second syzygy with
+    # only a rho_1 entry would make a_1 * rho_1 = 0, and it keeps the
+    # relations minimal.
+    relations = ar_res.differentials[0] if ar_res.length >= 1 else []
+    n_pres = drop_generators(f0, relations, {0})
     n_res = minimal_resolution(n_pres)
     z_b = betti(n_res)
     expected = BettiTable.from_twists(
@@ -354,17 +360,23 @@ def _z_report(ar_res, exponents, b, d, field, internals) -> ZReport:
     )
 
 
-def _h1_report(sigma_gens, j_gens, exponents, b, d, m, internals) -> H1Report:
+def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m, internals) -> H1Report:
     """The finite-length module Q = I_sat / J, checked against the predicted
-    four-term shape (generators at 2d-2-b_j, then 2d-2-d_i, d_i+d-1, b_j+d-1).
+    four-term shape (generators at 2d-2-b_j, then 2d-2-d_i, d_i+d-1, b_j+d-1)
+    and against its definition: its Hilbert series is that of S/J less that
+    of S/I_sat, read off the staircases of their bases j_gb and sigma_gb.
     Q is zero in the free case (m = 2), where J is saturated.
+
+    sigma_gens are I_sat's minimal generators, J's own kept first, so the
+    minimal generators of Q are those not in J and its presentation on them
+    is minimal.
     """
     if m == 2:
         empty = BettiTable()
         internals["q_pres"] = None
         internals["q_res"] = None
         return H1Report(generator_count=0, h1_betti=empty)
-    q_pres = submodule_quotient(sigma_gens, j_gens)
+    q_pres = submodule_quotient(sigma_gens, j_gb.gens)
     q_res = minimal_resolution(q_pres)
     q_b = betti(q_res)
     expected = BettiTable.from_twists(
@@ -379,6 +391,10 @@ def _h1_report(sigma_gens, j_gens, exponents, b, d, m, internals) -> H1Report:
         raise InvariantError(
             f"Betti table of I_sat/J {q_b!r} differs from the predicted shape {expected!r}"
         )
+    series = Counter(j_gb.numerator)
+    series.subtract(sigma_gb.numerator)
+    if hilbert_series(q_res) != {a: c for a, c in series.items() if c}:
+        raise InvariantError("Hilbert series of I_sat/J differs from the staircases of J and I_sat")
     internals["q_pres"] = q_pres
     internals["q_res"] = q_res
     return H1Report(generator_count=q_b.total_at(0), h1_betti=q_b)

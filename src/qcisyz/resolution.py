@@ -5,8 +5,9 @@ exact linear algebra, its syzygy generators are minimalized in turn, and so
 on.  With membership-minimal generators at every level the differentials
 carry no constant entries, so the result is minimal by construction; this
 is asserted, and exactness of consecutive differentials is asserted too.
-Presented modules are first stripped of unit relations (Gaussian
-cancellation) so a non-minimal presentation resolves correctly.
+A presented module is resolved from its relations as given, so its
+presentation must be minimal: a relation with a constant entry raises
+`ResolutionError`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 
 from .errors import InvariantError
 from .linalg import minimal_generators
-from .modules import FreeGradedModule, ModuleElement, PresentedModule, poly_to_element
+from .modules import FreeGradedModule, PresentedModule, poly_to_element
 from .orders import hilbert_series_value, mono_deg
 from .poly import Polynomial, add_terms
 
@@ -168,68 +169,19 @@ def _resolve_from(gens):
     return [FreeGradedModule(tuple(g.degree() for g in step)) for step in steps], steps
 
 
-def minimize_presentation(P: PresentedModule) -> PresentedModule:
-    """Cancel unit entries of the presentation by Gaussian elimination.
-
-    Whenever a relation carries a nonzero constant on some generator, that
-    generator is expressed by the others, substituted everywhere, and both
-    the generator and the relation are dropped.
-    """
-    twists = list(P.generators.twists)
-    rels = [dict(r.terms) for r in P.relations]
-    field = P.relations[0].field if P.relations else None
-
-    def find_unit():
-        for ri, terms in enumerate(rels):
-            for (pos, m), c in sorted(terms.items()):
-                if mono_deg(m) == 0:
-                    return ri, pos, c
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        ri, pos, c = hit
-        pivot = ModuleElement(P.generators, field, rels[ri])
-        inv = field.inv(c)
-        for rj, terms in enumerate(rels):
-            if rj == ri:
-                continue
-            # eliminate every occurrence of generator `pos`
-            occ = [(t, cc) for t, cc in terms.items() if t[0] == pos]
-            for (p, m), cc in occ:
-                factor = field.neg(field.mul(cc, inv))
-                add_terms(field, terms, pivot.mono_shift(m, factor).terms)
-        del rels[ri]
-        del twists[pos]
-        remap = lambda p: p if p < pos else p - 1  # noqa: E731
-        rels = [
-            {(remap(p), m): c for (p, m), c in terms.items() if p != pos}
-            for terms in rels
-        ]
-
-    amb = FreeGradedModule(tuple(twists))
-    out = []
-    for terms in rels:
-        if terms:
-            out.append(ModuleElement(amb, field, terms))
-    return PresentedModule(amb, out)
-
-
 def minimal_resolution(X) -> GradedResolution:
     """Minimal graded free resolution of a submodule or presented module.
 
     Accepts a list of homogeneous polynomials (ideal generators), a list of
-    module elements (submodule generators), or a PresentedModule.
+    module elements (submodule generators), or a PresentedModule with a
+    minimal presentation: one whose relations have no constant entry.
     """
     if isinstance(X, PresentedModule):
-        P = minimize_presentation(X)
-        if not P.relations:
-            return GradedResolution([P.generators], [])
+        if not X.relations:
+            return GradedResolution([X.generators], [])
         # the relations' minimal generators are the first differential
-        modules, steps = _resolve_from(P.relations)
-        return GradedResolution([P.generators] + modules, steps)
+        modules, steps = _resolve_from(X.relations)
+        return GradedResolution([X.generators] + modules, steps)
 
     gens = list(X)
     if not gens:

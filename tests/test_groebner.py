@@ -227,7 +227,7 @@ _monomial_ideals = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(first=_monomial_ideals, second=_monomial_ideals)
 def test_staircase_values_match_standard_monomial_count(first, second):
-    values = _hilbert_polynomial_values([first, second])
+    values = _hilbert_polynomial_values([hilbert_numerator(first), hilbert_numerator(second)])
     t0 = max(max(hilbert_numerator(leads), default=0) + 1 for leads in (first, second))
     for leads, got in zip((first, second), values):
         assert got == [_standard_monomial_count(leads, t) for t in range(t0, t0 + 4)]
@@ -316,7 +316,7 @@ def test_kernel_evaluates_each_order_key_once(syz):
         calls[0] += 1
         return basis.keyfn(t)
 
-    fresh = RawBasis(basis.ambient, basis.field, counting, basis.elements)
+    fresh = RawBasis(basis.ambient, basis.field, counting, basis.elements, basis.leads)
     e = _dense_element(basis.ambient, F, max(x.degree() for x in basis.elements) + 2, random.Random(5))
     seen = set()
     expected = _rescan_normal_form(e.terms, F, fresh.by_pos, basis.keyfn, seen)

@@ -51,7 +51,7 @@ def test_element_degree_respects_twists():
 def test_presented_module_rejects_mismatched_ambient():
     amb = FreeGradedModule((0,))
     other = FreeGradedModule((0, 0))
-    rel = ModuleElement.basis_vector(other, F, 0)
+    rel = ModuleElement(other, F, {(0, (0, 0, 0)): F.one})
     with pytest.raises(ValueError):
         PresentedModule(amb, [rel])
 
@@ -105,6 +105,15 @@ def test_submodule_quotient_presents_quotient_ring_piece():
     # generated by x, y in degree 1, everything in degree >= 2 killed
     assert hilbert_function(P, 1) == 2
     assert hilbert_function(P, 2) == 0
+
+
+def test_submodule_quotient_drops_positions_holding_elements_of_n():
+    # (x, y)/(x, y^2) = k[x, y, z]/(x, y) shifted to degree 1, generated by y
+    # alone: x sits at a position of M and is dropped with its entries
+    P = submodule_quotient(polys(["x", "y"]), polys(["x", "y^2"]))
+    assert P.generators.twists == (1,)
+    assert all(sum(m) > 0 for r in P.relations for _, m in r.terms)
+    assert [hilbert_function(P, t) for t in range(4)] == [0, 1, 1, 1]
 
 
 def test_submodule_quotient_requires_containment():

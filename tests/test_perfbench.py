@@ -3,8 +3,9 @@
 `perfbench/spans.py` wraps program functions by name; a rename or deletion in
 `src/` breaks only the traced run, so each workload is traced once at its
 self-test size. Its work counters repeat exactly from run to run, so they
-also gate the Groebner work per operation: each ideal and module gets one
-basis (12 Buchberger runs and 50 basis elements on these inputs).
+also gate the work per operation: each ideal and module gets one basis (12
+Buchberger runs and 50 basis elements on these inputs), and the Hilbert
+oracle of `oracle-fp` adds at most 3100 echelon rows.
 """
 
 import json
@@ -30,3 +31,6 @@ def test_traced_benchmark_runs(workload):
     assert "linalg.hilbert_function_calls" in metrics
     assert metrics["groebner.buchberger_calls"]["value"] <= 12
     assert metrics["groebner.basis_elements"]["value"] <= 50
+    if workload == "oracle-fp":
+        # the deep checks evaluate the minimal presentations of N and Q
+        assert metrics["linalg.echelon_rows"]["value"] <= 3100

@@ -1,7 +1,7 @@
 import pytest
 
 from qcisyz import groebner, pipeline
-from qcisyz.catalog import catalog_entry, random_qci
+from qcisyz.catalog import builtin_catalog, catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.orders import top_key
 from qcisyz.parsing import parse_polynomial
@@ -79,6 +79,21 @@ def test_curve_input_validation():
         analyze(curve("x^2*y"))  # non-reduced: V(J) infinite
     with pytest.raises(InputError):
         analyze(QciInput.curve(parse_polynomial("x^2 + y", F)))  # inhomogeneous
+
+
+def test_linearly_dependent_forms_are_rejected_alike():
+    # the same three concurrent lines in two coordinate systems: a vanishing
+    # partial derivative, and two equal ones
+    messages = set()
+    for field in (F, QQ):
+        for inp in (curve("x^3 + y^3", field), curve("(x + z)^3 + y^3", field)):
+            with pytest.raises(InputError, match="linearly dependent") as exc:
+                analyze(inp)
+            messages.add(str(exc.value))
+    assert len(messages) == 1
+    for texts in (["x^2", "y^2", "x^2 + y^2"], ["x^2", "x^2", "y^2"]):
+        with pytest.raises(InputError, match="linearly dependent"):
+            analyze(triple(texts))
 
 
 def test_triple_input_validation():
@@ -204,3 +219,40 @@ def test_analyze_computes_each_reduced_basis_once(monkeypatch):
         for i, (plain, key) in enumerate(runs):
             if plain and z not in key[1]:
                 assert key not in [k for _, k in runs[:i]], f"run {i} repeats an earlier basis"
+
+
+def _presentation_inputs():
+    for entry in builtin_catalog():
+        for field in (F, QQ):
+            yield entry.input_over(field)
+    for s in (2, 3, 4):
+        for seed in range(3):
+            yield random_qci(s, F, seed)
+
+
+def test_n_and_q_are_presented_minimally():
+    """N on rho_2..rho_m and Q on Sigma's minimal generators outside J: no
+    relation has a constant entry, and the generators are as many as the
+    first column of the Betti table."""
+    for inp in _presentation_inputs():
+        a = analyze(inp)
+        for pres, table in (
+            (a.internals["n_pres"], a.z.z_betti),
+            (a.internals["q_pres"], a.h1.h1_betti),
+        ):
+            if pres is None:  # Q in the free case
+                assert a.m == 2 and table.total_at(0) == 0
+                continue
+            assert all(sum(m) > 0 for r in pres.relations for _, m in r.terms)
+            assert pres.generators.rank == table.total_at(0)
+
+
+def test_q_is_checked_against_the_staircases(monkeypatch):
+    real = pipeline.hilbert_series
+
+    def shifted(res):
+        return {a + 1: c for a, c in real(res).items()}
+
+    monkeypatch.setattr(pipeline, "hilbert_series", shifted)
+    with pytest.raises(pipeline.InvariantError, match="staircases"):
+        analyze(curve("z*y^2 - x^3 - z*x^2"))

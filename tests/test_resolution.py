@@ -5,11 +5,12 @@ import pytest
 from qcisyz.fields import PrimeField
 from qcisyz.groebner import groebner_basis, saturate
 from qcisyz.linalg import hilbert_function
-from qcisyz.modules import FreeGradedModule, PresentedModule, poly_to_element
+from qcisyz.modules import FreeGradedModule, ModuleElement, PresentedModule, poly_to_element
 from qcisyz.parsing import parse_polynomial
 from qcisyz.poly import partial_derivatives
 from qcisyz.resolution import (
     BettiTable,
+    ResolutionError,
     betti,
     minimal_resolution,
     predicted_sigma_tables,
@@ -52,8 +53,6 @@ def test_ar_resolution_lengths():
 
     # triangle: free, length 0
     tri = syzygies(list(partial_derivatives(parse_polynomial("x*y*z", F))))
-    from qcisyz.modules import ModuleElement
-
     amb0 = FreeGradedModule((0, 0, 0))
     tri = [ModuleElement(amb0, F, dict(e.terms)) for e in tri]
     res = minimal_resolution(tri)
@@ -138,3 +137,11 @@ def test_resolution_length_cap():
         PresentedModule(amb, [poly_to_element(g, amb) for g in polys(["x", "y", "z^2"])])
     )
     assert res.length == 3
+
+
+def test_presentation_with_a_constant_entry_is_rejected():
+    # S^2 / (e_0): a unit relation, so the presentation is not minimal
+    S2 = FreeGradedModule((0, 0))
+    e0 = ModuleElement(S2, F, {(0, (0, 0, 0)): F.one})
+    with pytest.raises(ResolutionError, match="not minimal"):
+        minimal_resolution(PresentedModule(S2, [e0]))
