@@ -248,6 +248,8 @@ def cmd_search_tau_plus(args) -> int:
     d, d1 = args.d, args.d1
     if d < 3 or not (2 * d1 + 1 > d and 1 <= d1 <= d - 1):
         raise InputError("requires d >= 3 and d/2 <= d1 <= d-1")
+    if args.budget < 1:
+        raise InputError("search-tau-plus needs --budget >= 1")
     field = make_field(args.field, args.prime)
     hit = search_tau_plus(d, d1, budget=args.budget, seed=args.seed, field=field)
     if hit is None:

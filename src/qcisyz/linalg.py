@@ -2,7 +2,8 @@
 exact field, never via lead terms.
 
 `make_echelon` is the one eliminator. It selects minimal generators for the
-resolutions, finds the kernels of the tau_+ search, and runs the degree-wise
+resolutions, spans and ranks the pieces and Koszul differentials of Q in
+`koszul`, finds the kernels of the tau_+ search, and runs the degree-wise
 Hilbert evaluator (`hilbert_function`, `submodule_dim`). The analysis takes
 its Hilbert values from series numerators instead; the evaluator is only the
 oracle that `pipeline.verify_hilbert_consistency` holds them against, under
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import PrimeField
-from .modules import ModuleElement, PresentedModule
+from .modules import PresentedModule
 from .orders import grevlex_key, monomial_count
 
 
@@ -85,6 +86,10 @@ class _PrimeEchelon(_Echelon):
         self.pivots[col] = (v * inv) % self.p
         return True
 
+    def rows(self):
+        """The pivot rows, by pivot column, as lists of field elements."""
+        return [self.pivots[col].tolist() for col in sorted(self.pivots)]
+
 
 class _FractionEchelon(_Echelon):
     def __init__(self, width: int):
@@ -109,6 +114,10 @@ class _FractionEchelon(_Echelon):
                 return True
         return False
 
+    def rows(self):
+        """The pivot rows, by pivot column."""
+        return [self.pivots[col] for col in sorted(self.pivots)]
+
 
 def make_echelon(field, width: int):
     """An echelon form of rows of the given width over the field: add(vec)
@@ -118,10 +127,10 @@ def make_echelon(field, width: int):
     return _FractionEchelon(width)
 
 
-def element_vector(e: ModuleElement, index: dict):
-    """Coefficient vector of e in the monomial basis given by index."""
+def element_vector(terms: dict, index: dict):
+    """Coefficient vector of a term map in the basis given by index."""
     vec = [0] * len(index)
-    for t, c in e.terms.items():
+    for t, c in terms.items():
         vec[index[t]] = c
     return vec
 
@@ -137,7 +146,7 @@ def _span(gens, twists, t: int, field):
         if d < 0 or d > t:
             continue
         for m in monomials_of_degree(t - d):
-            ech.add(element_vector(g.mono_shift(m, field.one), index))
+            ech.add(element_vector(g.mono_shift(m, field.one).terms, index))
     return ech, index
 
 
@@ -186,6 +195,6 @@ def minimal_generators(gens):
             i += 1
         ech, index = _span(kept, twists, t, field)
         for g in batch:
-            if ech.add(element_vector(g, index)):
+            if ech.add(element_vector(g.terms, index)):
                 kept.append(g)
     return kept

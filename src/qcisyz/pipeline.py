@@ -1,13 +1,13 @@
 """The analysis pipeline: from a curve or a triple of equal-degree forms to
 the full invariant record (tau, exponents, second syzygy degrees, Chern
-data, resolutions of the saturated ideal, of the syzygy-quotient module N,
-and of the finite-length module Q = I_sat/J).
+data, resolutions of the saturated ideal and of the syzygy-quotient module
+N, and the Betti table of the finite-length module Q = I_sat/J).
 
 Every Hilbert value `analyze` reads comes from a Hilbert series numerator:
 colengths from the grevlex staircase (`groebner.hilbert_numerator`), tau's
-cross-check and deg Z from the computed resolutions. The degree-wise
+cross-check and deg Z from the computed Betti tables. The degree-wise
 linear-algebra evaluator of `linalg` runs only under `deep_checks`, as an
-oracle against those resolutions (`verify_hilbert_consistency`).
+oracle against those tables (`verify_hilbert_consistency`).
 
 Each ideal gets one reduced Groebner basis. The syzygy run on J yields J's
 basis and its syzygies; `saturate` starts from that basis and returns the
@@ -15,9 +15,12 @@ reduced basis of the saturation Sigma, which gives tau and Sigma's minimal
 generators. Reduced bases are unique, so the free case's check that J is
 saturated compares the two bases.
 
-The quotient modules N and Q are presented on their minimal generators,
-so their presentations have no constant entry and `minimal_resolution`
-resolves them as given (see `_z_report` and `_h1_report`).
+N is presented on its minimal generators, so its presentation has no
+constant entry and `minimal_resolution` resolves it as given (see
+`_z_report`). Q is neither presented nor resolved: its Betti numbers are
+the Koszul homology of Q inside S/J, on J's reduced basis (see
+`_h1_report` and `koszul`). Only the deep checks present Q, for the
+oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Optional
 from .errors import InputError, InvariantError
 from .fields import PrimeField
 from .groebner import SubmoduleGB, saturate, submodule_quotient
+from .koszul import quotient_betti
 from .linalg import hilbert_function, minimal_generators, submodule_dim
 from .modules import (
     FreeGradedModule,
@@ -42,7 +46,6 @@ from .poly import Polynomial, partial_derivatives
 from .resolution import (
     BettiTable,
     betti,
-    hilbert_series,
     minimal_resolution,
     resolution_hilbert_function,
     sigma_table_reachable,
@@ -228,7 +231,8 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
         raise InvariantError("free/second-syzygy mismatch")
 
     # saturation and tau; J's generators come first, so each that is a
-    # minimal generator of Sigma is kept as itself (see _h1_report)
+    # minimal generator of Sigma is kept as itself: the others generate Q,
+    # and the deep checks present Q on them minimally
     sigma_gb = saturate(sub)
     sigma_gens = [e.component(0) for e in minimal_generators(sub.gens + sigma_gb.basis)]
     tau = sigma_gb.colength()
@@ -250,26 +254,21 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     if c2_from_exponents(exponents, b) != c2:
         raise InvariantError("Chern class from exponents disagrees with (d-1)^2 - tau")
     # eventual HF of S/I = binom(t+2,2) - HF(I, t); check against tau
-    t_big = _sigma_ideal_numerator_degree(sigma_res) + 1
-    hf_ideal = resolution_hilbert_function(sigma_res, t_big)
+    t_big = _max_twist(sigma_betti_table) + 1
+    hf_ideal = resolution_hilbert_function(sigma_betti_table, t_big)
     if monomial_count(t_big) - hf_ideal != tau:
         raise InvariantError("resolution-based tau disagrees with staircase tau")
 
     sigma_cone_ok = sigma_table_reachable(sigma_betti_table, exponents, b, d)
 
-    internals = {
-        "ar_gens": ar_gens,
-        "ar_res": ar_res,
-        "sigma_gens": sigma_gens,
-        "sigma_res": sigma_res,
-    }
+    internals = {"ar_gens": ar_gens, "sigma_gens": sigma_gens}
 
     z = _z_report(ar_res, exponents, b, d, internals)
     if z.deg_Z != deg_z:
         raise InvariantError("deg Z from Hilbert data disagrees with the Chern formula")
     if m == 2 and sigma_gb.basis != sub.basis:
         raise InvariantError("free case but the q.c.i. ideal is not saturated")
-    h1 = _h1_report(sigma_gens, sub, sigma_gb, exponents, b, d, m, internals)
+    h1 = _h1_report(sigma_gens, sub, sigma_gb, exponents, b, d, m)
 
     from .theorems import classify as _classify
 
@@ -300,12 +299,13 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
             "computed saturated-ideal Betti table not reachable from the mapping cone"
         )
     if deep_checks:
+        internals["q_pres"] = submodule_quotient(sigma_gens, sub.gens) if m > 2 else None
         verify_hilbert_consistency(analysis)
     return analysis
 
 
-def _sigma_ideal_numerator_degree(sigma_res) -> int:
-    return max(max(m.twists) for m in sigma_res.modules)
+def _max_twist(table: BettiTable) -> int:
+    return max(a for _, a in table.entries)
 
 
 def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
@@ -331,11 +331,11 @@ def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
         )
     # deg Z from N = I_Z(shift): past every twist of N's resolution,
     # HF(S/I_Z, t + shift) = binom(t + shift + 2, 2) - HF(N, t), with HF(N, t)
-    # read off that resolution, is the constant deg Z
+    # read off its Betti table, is the constant deg Z
     shift = d1 + 1 - d
-    t = max(max(mod.twists) for mod in n_res.modules) + 2 - shift
+    t = _max_twist(z_b) + 2 - shift
     vals = [
-        monomial_count(tt + shift) - resolution_hilbert_function(n_res, tt)
+        monomial_count(tt + shift) - resolution_hilbert_function(z_b, tt)
         for tt in (t, t + 1)
     ]
     if vals[0] != vals[1]:
@@ -350,7 +350,6 @@ def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
             exponents[0] + exponents[2] - d + 1,
         )
     internals["n_pres"] = n_pres
-    internals["n_res"] = n_res
     return ZReport(
         chosen_syzygy_degree=d1,
         deg_Z=deg_z_hilbert,
@@ -360,26 +359,26 @@ def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
     )
 
 
-def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m, internals) -> H1Report:
-    """The finite-length module Q = I_sat / J, checked against the predicted
-    four-term shape (generators at 2d-2-b_j, then 2d-2-d_i, d_i+d-1, b_j+d-1)
-    and against its definition: its Hilbert series is that of S/J less that
-    of S/I_sat, read off the staircases of their bases j_gb and sigma_gb.
-    Q is zero in the free case (m = 2), where J is saturated.
-
-    sigma_gens are I_sat's minimal generators, J's own kept first, so the
-    minimal generators of Q are those not in J and its presentation on them
-    is minimal.
+def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m) -> H1Report:
+    """The finite-length module Q = I_sat / J by its Betti table, the Koszul
+    homology of Q over S/J (`koszul.quotient_betti`): Q gets no
+    presentation and no resolution. Q_t is spanned in (S/J)_t by the normal
+    forms modulo J's reduced basis (j_gb's) of I_sat's degree-t minimal
+    generators outside J and by x, y, z times Q_{t-1}, and its dimension is
+    checked at every degree against Q's definition: J's staircase numerator
+    less I_sat's (sigma_gb's). The table is checked against the predicted
+    four-term shape (generators at 2d-2-b_j, then 2d-2-d_i, d_i+d-1,
+    b_j+d-1), which is empty in the free case (m = 2), where J is saturated.
     """
-    if m == 2:
-        empty = BettiTable()
-        internals["q_pres"] = None
-        internals["q_res"] = None
-        return H1Report(generator_count=0, h1_betti=empty)
-    q_pres = submodule_quotient(sigma_gens, j_gb.gens)
-    q_res = minimal_resolution(q_pres)
-    q_b = betti(q_res)
-    expected = BettiTable.from_twists(
+    j_gens = {e.component(0) for e in j_gb.gens}
+    series = Counter(j_gb.numerator)
+    series.subtract(sigma_gb.numerator)
+    q_b = quotient_betti(
+        [e.component(0) for e in j_gb.basis],
+        [g for g in sigma_gens if g not in j_gens],
+        {a: c for a, c in series.items() if c},
+    )
+    expected = BettiTable() if m == 2 else BettiTable.from_twists(
         [
             sorted(2 * d - 2 - bj for bj in b),
             sorted(2 * d - 2 - di for di in exponents),
@@ -391,20 +390,13 @@ def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m, internals) -> H1R
         raise InvariantError(
             f"Betti table of I_sat/J {q_b!r} differs from the predicted shape {expected!r}"
         )
-    series = Counter(j_gb.numerator)
-    series.subtract(sigma_gb.numerator)
-    if hilbert_series(q_res) != {a: c for a, c in series.items() if c}:
-        raise InvariantError("Hilbert series of I_sat/J differs from the staircases of J and I_sat")
-    internals["q_pres"] = q_pres
-    internals["q_res"] = q_res
     return H1Report(generator_count=q_b.total_at(0), h1_betti=q_b)
 
 
-def _hilbert_agree(res, label, lhs, rhs):
+def _hilbert_agree(table, label, lhs, rhs):
     """lhs(t) == rhs(t) at every degree t up to three times the largest
-    twist of the resolution res."""
-    bound = 3 * max(max(mod.twists) for mod in res.modules)
-    for t in range(bound + 1):
+    twist of the Betti table."""
+    for t in range(3 * _max_twist(table) + 1):
         a, b = lhs(t), rhs(t)
         if a != b:
             raise InvariantError(f"Hilbert mismatch for {label} at degree {t}: {a} != {b}")
@@ -412,40 +404,43 @@ def _hilbert_agree(res, label, lhs, rhs):
 
 def verify_hilbert_consistency(analysis: QciAnalysis):
     """Oracle redundancy: the degree-wise linear-algebra Hilbert evaluator
-    must agree with the resolution alternating sum at every degree up to
-    three times the largest twist, for each computed resolution."""
+    must agree with the alternating sum of each computed Betti table at
+    every degree up to three times its largest twist. Q's is held against
+    its presentation `q_pres`, which `analyze` builds only for this oracle
+    (Groebner presentation and Macaulay matrices on one side, Koszul
+    homology on the other)."""
     internals = analysis.internals
 
     # S / I_sigma as a presented module
     amb1 = FreeGradedModule((0,))
     s_over_i = PresentedModule(amb1, [poly_to_element(g, amb1) for g in internals["sigma_gens"]])
-    sigma_res = internals["sigma_res"]
+    sigma_betti = analysis.sigma_betti
     _hilbert_agree(
-        sigma_res,
+        sigma_betti,
         "S/I_sigma",
         lambda t: hilbert_function(s_over_i, t),
-        lambda t: monomial_count(t) - resolution_hilbert_function(sigma_res, t),
+        lambda t: monomial_count(t) - resolution_hilbert_function(sigma_betti, t),
     )
 
     # the syzygy submodule AR
-    ar_res, ar_gens = internals["ar_res"], internals["ar_gens"]
+    ar_gens = internals["ar_gens"]
     _hilbert_agree(
-        ar_res,
+        analysis.ar_betti,
         "AR",
         lambda t: submodule_dim(ar_gens, ar_gens[0].ambient.twists, t),
-        lambda t: resolution_hilbert_function(ar_res, t),
+        lambda t: resolution_hilbert_function(analysis.ar_betti, t),
     )
 
-    for pres, res, label in (
-        (internals.get("n_pres"), internals.get("n_res"), "AR/S*rho1"),
-        (internals.get("q_pres"), internals.get("q_res"), "I_sat/J"),
+    for pres, table, label in (
+        (internals.get("n_pres"), analysis.z.z_betti, "AR/S*rho1"),
+        (internals.get("q_pres"), analysis.h1.h1_betti, "I_sat/J"),
     ):
         if pres is not None:
             _hilbert_agree(
-                res,
+                table,
                 label,
                 lambda t: hilbert_function(pres, t),
-                lambda t: resolution_hilbert_function(res, t),
+                lambda t: resolution_hilbert_function(table, t),
             )
 
     # staircase tau against the Chern bookkeeping

@@ -193,19 +193,18 @@ def minimal_resolution(X) -> GradedResolution:
     return GradedResolution(modules, steps[1:])
 
 
-def hilbert_series(res: GradedResolution):
-    """Numerator of the Hilbert series over (1-t)^3, as {degree: coefficient}."""
+def hilbert_series(table: BettiTable):
+    """Numerator of the Hilbert series over (1-t)^3 of the module whose
+    Betti table this is (the alternating sum of its twists), as
+    {degree: coefficient}."""
     num = Counter()
-    sign = 1
-    for mod in res.modules:
-        for a in mod.twists:
-            num[a] += sign
-        sign = -sign
+    for (pos, a), c in table.entries.items():
+        num[a] += -c if pos % 2 else c
     return {k: v for k, v in sorted(num.items()) if v}
 
 
-def resolution_hilbert_function(res: GradedResolution, t: int) -> int:
-    return hilbert_series_value(hilbert_series(res), t)
+def resolution_hilbert_function(table: BettiTable, t: int) -> int:
+    return hilbert_series_value(hilbert_series(table), t)
 
 
 # --- predicted resolution of the saturated ideal (mapping cone) -----------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,28 @@ def test_search_tau_plus_cli(capsys):
     code, doc = run_json(capsys, "search-tau-plus", "--d", "3", "--d1", "2")
     assert code == 0 and doc["hit"] is not None and doc["tau"] == 1
     assert run(capsys, "search-tau-plus", "--d", "4", "--d1", "1")[0] == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_search_tau_plus_rejects_an_empty_budget(capsys, budget):
+    code = cli.main(["search-tau-plus", "--d", "3", "--d1", "2", "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "--budget" in captured.err
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    argv = ["analyze", "--curve", "z*y^2 - x^3 - z*x^2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcisyz", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out
 
 
 def test_fuzz_deterministic_across_runs_and_jobs(tmp_path):

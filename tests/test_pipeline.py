@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from qcisyz import groebner, pipeline
 from qcisyz.catalog import builtin_catalog, catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
+from qcisyz.groebner import submodule_quotient
+from qcisyz.modules import poly_to_element
 from qcisyz.orders import top_key
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import (
@@ -14,7 +18,7 @@ from qcisyz.pipeline import (
     jacobian_ideal,
     verify_hilbert_consistency,
 )
-from qcisyz.resolution import BettiTable
+from qcisyz.resolution import BettiTable, betti, minimal_resolution
 
 F = PrimeField(32003)
 
@@ -230,12 +234,14 @@ def _presentation_inputs():
             yield random_qci(s, F, seed)
 
 
-def test_n_and_q_are_presented_minimally():
+def test_n_and_q_are_presented_minimally(monkeypatch):
     """N on rho_2..rho_m and Q on Sigma's minimal generators outside J: no
     relation has a constant entry, and the generators are as many as the
-    first column of the Betti table."""
+    first column of the Betti table. Q is presented only for the deep
+    checks' oracle, whose degree sweep this test leaves out."""
+    monkeypatch.setattr(pipeline, "verify_hilbert_consistency", lambda analysis: None)
     for inp in _presentation_inputs():
-        a = analyze(inp)
+        a = analyze(inp, deep_checks=True)
         for pres, table in (
             (a.internals["n_pres"], a.z.z_betti),
             (a.internals["q_pres"], a.h1.h1_betti),
@@ -247,12 +253,65 @@ def test_n_and_q_are_presented_minimally():
             assert pres.generators.rank == table.total_at(0)
 
 
+def _j_generators(inp):
+    gens = jacobian_ideal(inp.polys[0]) if inp.mode == "curve" else inp.polys
+    return [poly_to_element(g) for g in gens]
+
+
+_Q_SOURCES = [(entry.name, field) for entry in builtin_catalog() for field in (F, QQ)] + [
+    (s, seed) for s in (2, 3, 4, 5) for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    _Q_SOURCES,
+    ids=[f"{a}-{b!r}" if isinstance(a, str) else f"random-s{a}-seed{b}" for a, b in _Q_SOURCES],
+)
+def test_koszul_table_of_q_equals_its_resolution(first, second):
+    """Q's Betti table by Koszul homology over S/J is the Betti table of a
+    minimal resolution of its presentation; empty when J is saturated (the
+    triangle is free). first, second: a catalog curve and its field, or a
+    random triple's degree and seed."""
+    if isinstance(first, str):
+        inp = catalog_entry(first).input_over(second)
+    else:
+        inp = random_qci(first, F, second)
+    a = analyze(inp)
+    q_pres = submodule_quotient(a.internals["sigma_gens"], _j_generators(inp))
+    assert a.h1.h1_betti == betti(minimal_resolution(q_pres))
+    assert (a.m == 2) == (not a.h1.h1_betti.entries)
+
+
+def test_q_gets_no_presentation_and_no_resolution_by_default(monkeypatch):
+    """The default path resolves AR, Sigma and N and never presents Q;
+    only the deep checks' oracle presents it."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    counting("submodule_quotient", pipeline.submodule_quotient)
+    counting("minimal_resolution", pipeline.minimal_resolution)
+    analyze(curve("z*y^2 - x^3 - z*x^2"))
+    assert calls == {"minimal_resolution": 3}
+    calls.clear()
+    analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
+    assert calls == {"minimal_resolution": 3, "submodule_quotient": 1}
+
+
 def test_q_is_checked_against_the_staircases(monkeypatch):
-    real = pipeline.hilbert_series
+    """Each dimension of Q is held against J's staircase numerator less
+    Sigma's: a shifted numerator is refused."""
+    real = pipeline.quotient_betti
 
-    def shifted(res):
-        return {a + 1: c for a, c in real(res).items()}
+    def shifted(basis, gens, numerator):
+        return real(basis, gens, {a + 1: c for a, c in numerator.items()})
 
-    monkeypatch.setattr(pipeline, "hilbert_series", shifted)
+    monkeypatch.setattr(pipeline, "quotient_betti", shifted)
     with pytest.raises(pipeline.InvariantError, match="staircases"):
         analyze(curve("z*y^2 - x^3 - z*x^2"))
