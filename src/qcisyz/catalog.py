@@ -10,9 +10,10 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+from . import linalg
 from .fields import DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
-from .linalg import make_echelon, monomials_of_degree
+from .linalg import monomials_of_degree
 from .orders import mono_mul
 from .parsing import parse_polynomial
 from .pipeline import InputError, QciInput, analyze, chern_and_formulas
@@ -132,13 +133,15 @@ def _kernel_basis_in_degree(cols, m: int, field, deg: int):
     cols are vectors of linear forms (length-m tuples of Polynomial). Each
     domain monomial's row of the transposed multiplication map is reduced
     with an identity augmentation; a row whose left part reduces to zero
-    yields the kernel vector in its right part, any other row is kept.
+    yields the kernel vector in its right part, any other row is kept. The
+    echelon is made through `linalg.make_echelon`, looked up at each call,
+    so that a wrapper on it sees this echelon too.
     """
     dom = [(i, mono) for i in range(m) for mono in monomials_of_degree(deg)]
     codom_monos = monomials_of_degree(deg + 1)
     codom_index = {mono: k for k, mono in enumerate(codom_monos)}
     width = len(cols) * len(codom_monos)
-    ech = make_echelon(field, width + len(dom))
+    ech = linalg.make_echelon(field, width + len(dom))
     out = []
     for r, (i, mono) in enumerate(dom):
         vec = [field.zero] * (width + len(dom))

@@ -7,7 +7,15 @@ resolutions, spans and ranks the pieces and Koszul differentials of Q in
 Hilbert evaluator (`hilbert_function`, `submodule_dim`). The analysis takes
 its Hilbert values from series numerators instead; the evaluator is only the
 oracle that `pipeline.verify_hilbert_consistency` holds them against, under
-`analyze(..., deep_checks=True)`.
+`analyze(..., deep_checks=True)`. That oracle stops calling `hilbert_function`
+for a presented module P once HF(P, t) = 0 with t at or past P's largest
+generator twist: past it every degree-(t+1) generator multiple is a variable
+times a degree-t one, so P_{t+1} = S_1 * P_t = 0 (graded Nakayama) and the
+zeros it derives are exact.
+
+Over GF(p) the pivot rows are dense numpy vectors. Over Q they are kept
+sparse, as {column: value} of their nonzero entries, so a reduction step
+touches only a pivot row's nonzeros; `rows()` returns them dense.
 """
 
 from __future__ import annotations
@@ -94,29 +102,36 @@ class _PrimeEchelon(_Echelon):
 class _FractionEchelon(_Echelon):
     def __init__(self, width: int):
         self.width = width
-        self.pivots = {}  # col -> normalized row (list of Fractions/ints)
+        self.pivots = {}  # col -> normalized row, {col: value} of its nonzeros
 
     def reduce(self, vec):
-        """vec reduced by every pivot row, in increasing pivot column."""
+        """vec reduced by every pivot row, in increasing pivot column, as a
+        dense list."""
         v = list(vec)
         for col in sorted(self.pivots):
             c = v[col]
             if c:
-                row = self.pivots[col]
-                v = [a - c * b for a, b in zip(v, row)]
+                for j, b in self.pivots[col].items():
+                    v[j] -= c * b
         return v
 
     def insert(self, v) -> bool:
         """Store a reduced vector as a pivot row; False if it is zero."""
         for col, c in enumerate(v):
             if c:
-                self.pivots[col] = [a / c for a in v]
+                self.pivots[col] = {j: a / c for j, a in enumerate(v) if a}
                 return True
         return False
 
     def rows(self):
-        """The pivot rows, by pivot column."""
-        return [self.pivots[col] for col in sorted(self.pivots)]
+        """The pivot rows, by pivot column, as dense lists."""
+        out = []
+        for col in sorted(self.pivots):
+            row = [0] * self.width
+            for j, a in self.pivots[col].items():
+                row[j] = a
+            out.append(row)
+        return out
 
 
 def make_echelon(field, width: int):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import count, repeat
 from typing import Optional
 
 from .errors import InputError, InvariantError
@@ -393,11 +394,24 @@ def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m) -> H1Report:
     return H1Report(generator_count=q_b.total_at(0), h1_betti=q_b)
 
 
-def _hilbert_agree(table, label, lhs, rhs):
-    """lhs(t) == rhs(t) at every degree t up to three times the largest
-    twist of the Betti table."""
-    for t in range(3 * _max_twist(table) + 1):
-        a, b = lhs(t), rhs(t)
+def _presented_values(P):
+    """HF(P, 0), HF(P, 1), ... of a presented module, endlessly. Once
+    HF(P, t) = 0 at a degree t at or past every generator's twist, each later
+    value is 0 with no elimination: there P_{t+1} = S_1 * P_t (graded
+    Nakayama), so the derived zeros are the exact values."""
+    top = max(P.generators.twists)
+    for t in count():
+        value = hilbert_function(P, t)
+        yield value
+        if value == 0 and t >= top:
+            yield from repeat(0)
+
+
+def _hilbert_agree(table, label, values, rhs):
+    """The values, in increasing degree from 0, equal rhs(t) at every degree
+    t up to three times the largest twist of the Betti table."""
+    for t, a in zip(range(3 * _max_twist(table) + 1), values):
+        b = rhs(t)
         if a != b:
             raise InvariantError(f"Hilbert mismatch for {label} at degree {t}: {a} != {b}")
 
@@ -408,7 +422,13 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
     every degree up to three times its largest twist. Q's is held against
     its presentation `q_pres`, which `analyze` builds only for this oracle
     (Groebner presentation and Macaulay matrices on one side, Koszul
-    homology on the other)."""
+    homology on the other).
+
+    The presented modules S/I_sigma, N and Q are evaluated until they
+    vanish at or past their largest generator twist; from there on their
+    value is 0 by graded Nakayama (`_presented_values`), exactly, and is
+    still compared at every degree. Q, of finite length, is the one that
+    vanishes; AR never does and is eliminated at every degree."""
     internals = analysis.internals
 
     # S / I_sigma as a presented module
@@ -418,7 +438,7 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
     _hilbert_agree(
         sigma_betti,
         "S/I_sigma",
-        lambda t: hilbert_function(s_over_i, t),
+        _presented_values(s_over_i),
         lambda t: monomial_count(t) - resolution_hilbert_function(sigma_betti, t),
     )
 
@@ -427,7 +447,7 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
     _hilbert_agree(
         analysis.ar_betti,
         "AR",
-        lambda t: submodule_dim(ar_gens, ar_gens[0].ambient.twists, t),
+        (submodule_dim(ar_gens, ar_gens[0].ambient.twists, t) for t in count()),
         lambda t: resolution_hilbert_function(analysis.ar_betti, t),
     )
 
@@ -439,7 +459,7 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
             _hilbert_agree(
                 table,
                 label,
-                lambda t: hilbert_function(pres, t),
+                _presented_values(pres),
                 lambda t: resolution_hilbert_function(table, t),
             )
 

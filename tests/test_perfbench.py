@@ -6,7 +6,8 @@ self-test size. Its work counters repeat exactly from run to run, so they
 also gate the work per operation: each ideal and module gets one basis and
 Q none (8 Buchberger runs, 9 where the deep checks present Q for the oracle
 of `oracle-fp`, and 50 basis elements on these inputs), and that oracle
-adds at most 3100 echelon rows.
+adds at most 900 echelon rows in at most 21 `hilbert_function` calls: it
+stops eliminating a presented module once the module has vanished.
 """
 
 import json
@@ -33,5 +34,7 @@ def test_traced_benchmark_runs(workload):
     assert metrics["groebner.buchberger_calls"]["value"] <= (9 if workload == "oracle-fp" else 8)
     assert metrics["groebner.basis_elements"]["value"] <= 50
     if workload == "oracle-fp":
-        # the deep checks evaluate the minimal presentations of N and Q
-        assert metrics["linalg.echelon_rows"]["value"] <= 3100
+        # the deep checks evaluate the minimal presentations of N and Q, and
+        # no degree where Q has vanished (graded Nakayama)
+        assert metrics["linalg.echelon_rows"]["value"] <= 900
+        assert metrics["linalg.hilbert_function_calls"]["value"] <= 21

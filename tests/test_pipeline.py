@@ -1,16 +1,18 @@
 from collections import Counter
+from itertools import islice
 
 import pytest
 
-from qcisyz import groebner, pipeline
+from qcisyz import groebner, linalg, pipeline
 from qcisyz.catalog import builtin_catalog, catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.groebner import submodule_quotient
-from qcisyz.modules import poly_to_element
+from qcisyz.modules import FreeGradedModule, PresentedModule, poly_to_element
 from qcisyz.orders import top_key
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import (
     InputError,
+    InvariantError,
     QciInput,
     analyze,
     c2_from_exponents,
@@ -197,6 +199,59 @@ def test_default_path_runs_no_degreewise_hilbert_evaluator(monkeypatch):
     monkeypatch.setattr(pipeline, "hilbert_function", counting)
     analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
     assert calls
+
+
+def test_oracle_values_equal_the_evaluator_at_every_degree(monkeypatch):
+    """The oracle stops eliminating a presented module once it vanishes at
+    or past its largest generator twist (graded Nakayama). The values it
+    compares, derived zeros included, are hilbert_function's at every
+    degree up to three times the largest twist; Q's are derived."""
+    real = pipeline._hilbert_agree
+    seen, calls = {}, Counter()
+
+    def recording(table, label, values, rhs):
+        seen[label] = list(islice(values, 3 * pipeline._max_twist(table) + 1))
+        real(table, label, seen[label], rhs)
+
+    def counting(P, t):
+        calls[id(P)] += 1
+        return linalg.hilbert_function(P, t)
+
+    monkeypatch.setattr(pipeline, "_hilbert_agree", recording)
+    monkeypatch.setattr(pipeline, "hilbert_function", counting)
+    amb = FreeGradedModule((0,))
+    for inp in (
+        catalog_entry("nodal-quartic").input_over(F),
+        catalog_entry("lines-4").input_over(F),
+        random_qci(3, F, 0),
+    ):
+        seen.clear()
+        calls.clear()
+        a = analyze(inp, deep_checks=True)
+        s_over_i = PresentedModule(amb, [poly_to_element(g, amb) for g in a.internals["sigma_gens"]])
+        q_pres = a.internals["q_pres"]
+        for label, pres in (
+            ("S/I_sigma", s_over_i),
+            ("AR/S*rho1", a.internals["n_pres"]),
+            ("I_sat/J", q_pres),
+        ):
+            values = seen[label]
+            assert values == [linalg.hilbert_function(pres, t) for t in range(len(values))]
+        assert calls[id(q_pres)] < len(seen["I_sat/J"])
+
+
+def test_oracle_refuses_a_table_wrong_where_q_has_vanished():
+    """An extra generator of Q's table at its largest twist T makes the
+    table's alternating sum nonzero from degree T on, where Q has vanished
+    and the oracle derives its values instead of eliminating."""
+    a = analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
+    table = a.h1.h1_betti
+    top = pipeline._max_twist(table)
+    entries = Counter(table.entries)
+    entries[(0, top)] += 1
+    a.h1.h1_betti = BettiTable(entries)
+    with pytest.raises(InvariantError, match=f"I_sat/J at degree {top}: 0 != 1"):
+        verify_hilbert_consistency(a)
 
 
 def test_analyze_computes_each_reduced_basis_once(monkeypatch):
