@@ -5,6 +5,13 @@ Syzygies, membership certificates and Groebner bases come out of a single
 run on the block module F + S^r with generators g_i + e_i, under an order
 in which every F-term beats every bookkeeping term.
 
+The reduction kernel works on packed integer order keys (`TermKeys`), in
+the manner of Monagan and Pearce's packed-exponent heap division (CASC
+2007): the keys of `orders.top_key` and `orders.block_elim_key` are affine
+in the monomial, so shifting a reducer's term by a monomial adds one
+integer to its key, and a term is decoded from its key's low four fields,
+(deg, -z, -y, -pos), only when it is popped.
+
 Saturation at the irrelevant ideal is a single Bayer-Stillman pass: after a
 linear change of coordinates that moves a line missing every associated
 point to z = 0, the grevlex basis divided by its powers of z is a basis of
@@ -26,9 +33,10 @@ from .orders import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     top_key,
 )
-from .poly import Polynomial, add_terms
+from .poly import Polynomial
 
 
 def _as_elements(gens):
@@ -42,23 +50,32 @@ def _as_elements(gens):
 
 
 _HALF = 1 << 31
+_MASK = (1 << 32) - 1
 
 
 class TermKeys(dict):
-    """Order keys of (pos, mono) terms, each computed once per Groebner run.
+    """Order keys of (pos, mono) terms, memoized per Groebner run.
 
     keys[t] packs keyfn(t), a flat tuple of ints, into one integer of 32 bits
-    per component, so a larger integer is a larger term; keys.term_of maps
-    the integer back to its term. All keys of one keyfn have the same length,
-    which makes integer order the lexicographic order of the tuples.
+    per component, so a larger integer is a larger term. All keys of one
+    keyfn have the same length, which makes integer order the lexicographic
+    order of the tuples.
+
+    The reduction kernel relies on the layout of `orders.top_key` and
+    `orders.block_elim_key`: the key is affine in the monomial, with the same
+    linear part at every position, so key(pos, m * x^s) = key(pos, m) +
+    key(p, n * x^s) - key(p, n) for any p, n; and its last four components
+    are (deg m, -m_z, -m_y, -pos), from which `_reduce` decodes the
+    term. Keys shifted that way are not range-checked again: they stay
+    in range because every term of a homogeneous reduction has the input's
+    degree.
     """
 
-    __slots__ = ("keyfn", "term_of")
+    __slots__ = ("keyfn",)
 
     def __init__(self, keyfn):
         super().__init__()
         self.keyfn = keyfn
-        self.term_of = {}
 
     def __missing__(self, t):
         k = 0
@@ -67,7 +84,6 @@ class TermKeys(dict):
                 raise OverflowError(f"order key component {x} out of range")
             k = (k << 32) | (x + _HALF)
         self[t] = k
-        self.term_of[k] = t
         return k
 
     def lead(self, terms):
@@ -81,61 +97,73 @@ def _sorted_with_leads(elements, leads, keys):
     return [e for e, _ in pairs], [t for _, t in pairs]
 
 
+def _reducer(terms, lead, keys):
+    """A monic element as the kernel reads it: (lead mono, lead key, tail),
+    the tail a list of (key, -coefficient) of its other terms."""
+    return lead[1], keys[lead], [(keys[t], -c) for t, c in terms.items() if t != lead]
+
+
+def _index_leads(elements, leads, keys):
+    """Reducers by lead position: by_pos[pos] lists `_reducer`s in order."""
+    by_pos = {}
+    for e, lead in zip(elements, leads):
+        by_pos.setdefault(lead[0], []).append(_reducer(e.terms, lead, keys))
+    return by_pos
+
+
 def _normal_form_terms(terms, field, by_pos, keys):
     """Full normal form of a term dict against monic reducers indexed by lead
-    position: by_pos[pos] = list of (lead_mono, terms_dict); the first whose
-    lead divides a term reduces it.
+    position (see `_index_leads`); the first reducer whose lead divides a
+    term reduces it. The output lists its terms in decreasing order, so its
+    first term is its lead."""
+    return _reduce({keys[t]: c for t, c in terms.items()}, field, by_pos, keys)
 
-    Pending terms sit in a heap of negated order keys (keys: a `TermKeys`).
-    The largest is popped each step; a term cancelled meanwhile is skipped
-    when its entry comes up. The output lists its terms in decreasing order,
-    so its first term is its lead.
+
+def _reduce(pending, field, by_pos, keys):
+    """`_normal_form_terms` on pending terms given as {packed key: coefficient}.
+
+    Pending terms sit in a heap of negated keys and the largest is popped
+    each step. A reducer with lead key g cancels the popped key k and adds
+    each tail term at its key plus k - g (see `TermKeys`). Over GF(p)
+    pending coefficients are plain ints, reduced mod p once, when popped; a
+    term that is then 0 is skipped. Reducers only add terms below the popped
+    one, so no key is pushed twice or popped twice. The keys of the output
+    terms are memoized in keys.
     """
-    pending = dict(terms)
-    heap = [-keys[t] for t in pending]
+    heap = [-k for k in pending]
     heapq.heapify(heap)
-    term_of = keys.term_of
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, get = heapq.heappop, heapq.heappush, pending.get
+    p = field.prime
     out = {}
-    zero = field.zero
-    sub, mul = field.sub, field.mul
     while heap:
-        t = term_of[-pop(heap)]
-        c = pending.pop(t, None)
-        if c is None:
+        k = -pop(heap)
+        c = pending.pop(k)
+        if p:
+            c %= p
+        if not c:
             continue
-        pos, m = t
-        for gm, gterms in by_pos.get(pos, ()):
-            if gm[0] <= m[0] and gm[1] <= m[1] and gm[2] <= m[2]:
+        pos = _HALF - (k & _MASK)
+        y = _HALF - ((k >> 32) & _MASK)
+        z = _HALF - ((k >> 64) & _MASK)
+        x = ((k >> 96) & _MASK) - _HALF - y - z
+        for gm, gkey, tail in by_pos.get(pos, ()):
+            if gm[0] <= x and gm[1] <= y and gm[2] <= z:
                 break
         else:
+            t = (pos, (x, y, z))
             out[t] = c
+            keys[t] = k
             continue
-        s0, s1, s2 = m[0] - gm[0], m[1] - gm[1], m[2] - gm[2]
-        lead_key = (pos, gm)
-        for tt, cc in gterms.items():
-            if tt == lead_key:
-                continue
-            p2, m2 = tt
-            key2 = (p2, (m2[0] + s0, m2[1] + s1, m2[2] + s2))
-            old = pending.get(key2)
+        delta = k - gkey
+        for kk, cc in tail:
+            k2 = kk + delta
+            old = get(k2)
             if old is None:
-                pending[key2] = sub(zero, mul(cc, c))
-                push(heap, -keys[key2])
-                continue
-            s = sub(old, mul(cc, c))
-            if s == zero:
-                del pending[key2]
+                pending[k2] = cc * c
+                push(heap, -k2)
             else:
-                pending[key2] = s
+                pending[k2] = old + cc * c
     return out
-
-
-def _index_leads(elements, leads):
-    by_pos = {}
-    for e, (pos, m) in zip(elements, leads):
-        by_pos.setdefault(pos, []).append((m, e.terms))
-    return by_pos
 
 
 class RawBasis:
@@ -152,7 +180,10 @@ class RawBasis:
         self.elements = elements
         self.keys = TermKeys(keyfn) if keys is None else keys
         self.leads = leads
-        self.by_pos = _index_leads(elements, leads)
+
+    @cached_property
+    def by_pos(self):
+        return _index_leads(self.elements, self.leads, self.keys)
 
     def normal_form(self, e: ModuleElement) -> ModuleElement:
         terms = _normal_form_terms(e.terms, self.field, self.by_pos, self.keys)
@@ -163,10 +194,10 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
     """Reduced Groebner basis; normal (min-degree-first) pair selection.
 
     Buchberger's product criterion is used for ideals (rank-one ambient),
-    the only case where it is valid.
+    the only case where it is valid. An S-polynomial is built in the
+    kernel's packed form from the two tails, since the leads cancel.
     """
     rank1_criterion = ambient.rank == 1
-    minus_one = field.neg(field.one)
     keys = TermKeys(keyfn)
     work = [g for g in gens if not g.is_zero()]
     for g in work:
@@ -176,34 +207,32 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
 
     G = []  # monic elements
     leads = []  # (pos, mono)
-    by_pos = {}  # pos -> [(lead mono, terms)], in the order of G
+    reducers = []  # `_reducer` of each element
+    by_pos = {}  # pos -> reducers, in the order of G
     pairs = []  # heap of (degree, i, j)
     done = set()
 
     def add_pairs(j):
         pj, mj = leads[j]
-        dj = G[j].degree()
+        dj = G[j].degree() - mono_deg(mj)
         for i in range(j):
             pi, mi = leads[i]
             if pi != pj:
                 continue
-            if rank1_criterion and mono_lcm(mi, mj) == (
-                mi[0] + mj[0],
-                mi[1] + mj[1],
-                mi[2] + mj[2],
-            ):
+            L = mono_lcm(mi, mj)
+            if rank1_criterion and L == mono_mul(mi, mj):
                 done.add((i, j))
                 continue
-            L = mono_lcm(mi, mj)
-            deg = mono_deg(L) - mono_deg(mj) + dj
-            heapq.heappush(pairs, (deg, i, j))
+            heapq.heappush(pairs, (mono_deg(L) + dj, i, j))
 
     def add_elem(terms):
         lead = next(iter(terms))
         e = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
+        red = _reducer(e.terms, lead, keys)
         G.append(e)
         leads.append(lead)
-        by_pos.setdefault(lead[0], []).append((lead[1], e.terms))
+        reducers.append(red)
+        by_pos.setdefault(lead[0], []).append(red)
         add_pairs(len(G) - 1)
 
     work_deg = [g.degree() for g in work]
@@ -238,9 +267,16 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
                     break
         if skip:
             continue
-        s = G[i].mono_shift(mono_div(L, mi), field.one).terms
-        add_terms(field, s, G[j].mono_shift(mono_div(L, mj), minus_one).terms)
-        terms = _normal_form_terms(s, field, by_pos, keys)
+        # S = x^(L - mi) G[i] - x^(L - mj) G[j]; the tails hold -coefficients
+        kL = keys[(pi, L)]
+        _, ki, tail_i = reducers[i]
+        _, kj, tail_j = reducers[j]
+        di, dj = kL - ki, kL - kj
+        s = {kk + dj: cc for kk, cc in tail_j}
+        for kk, cc in tail_i:
+            k2 = kk + di
+            s[k2] = s.get(k2, 0) - cc
+        terms = _reduce(s, field, by_pos, keys)
         if terms:
             add_elem(terms)
 

@@ -64,11 +64,10 @@ class ModuleElement(TermMap):
         return [self.component(i) for i in range(self.ambient.rank)]
 
     def degree(self) -> int:
-        """Degree of a homogeneous element; -1 if zero."""
-        if not self.terms:
-            return -1
-        tw = self.ambient.twists
-        return max(mono_deg(m) + tw[p] for p, m in self.terms)
+        """Degree of a homogeneous element, read off one term; -1 if zero."""
+        for p, m in self.terms:
+            return mono_deg(m) + self.ambient.twists[p]
+        return -1
 
     def is_homogeneous(self) -> bool:
         tw = self.ambient.twists

@@ -57,7 +57,12 @@ def top_key(t):
     position breaks ties.
 
     Module keys are flat tuples of ints, so a Groebner run can pack each
-    into one integer (see `groebner.TermKeys`).
+    into one integer (see `groebner.TermKeys`). The reduction kernel relies
+    on their layout: each key is affine in the monomial, with the same
+    linear part at every position, so the key of a shifted term is the
+    key of the term plus an amount that depends on the shift alone; and its
+    last four components are (deg, -z, -y, -pos), from which the term is
+    decoded. `block_elim_key` keeps both by putting its block flag first.
     """
     pos, m = t
     return (*grevlex_key(m), -pos)

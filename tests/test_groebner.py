@@ -13,6 +13,7 @@ from qcisyz.groebner import (
     _hilbert_polynomial_values,
     _index_leads,
     _normal_form_terms,
+    _reducer,
     _sorted_with_leads,
     buchberger,
     colon,
@@ -265,7 +266,9 @@ def test_groebner_over_rationals():
 
 def _rescan_normal_form(terms, field, by_pos, keyfn, seen):
     """The textbook kernel: each step evaluates keyfn on every pending term to
-    find the largest. Every term that is ever pending is added to seen."""
+    find the largest. Reducers are (lead mono, term dict) by lead position
+    (see `_plain_reducers`). Every term that is ever pending is added to
+    seen."""
     terms = dict(terms)
     seen.update(terms)
     out = {}
@@ -290,6 +293,23 @@ def _rescan_normal_form(terms, field, by_pos, keyfn, seen):
             else:
                 terms[t2] = v
     return out
+
+
+def _plain_reducers(reducers):
+    """(lead, term dict) pairs indexed by lead position, as the reference
+    reads them."""
+    by_pos = {}
+    for (pos, m), terms in reducers:
+        by_pos.setdefault(pos, []).append((m, terms))
+    return by_pos
+
+
+def _kernel_reducers(reducers, keys):
+    """The same reducers indexed for the kernel."""
+    by_pos = {}
+    for lead, terms in reducers:
+        by_pos.setdefault(lead[0], []).append(_reducer(terms, lead, keys))
+    return by_pos
 
 
 def _dense_element(ambient, field, degree, rng):
@@ -317,24 +337,27 @@ def test_kernel_evaluates_each_order_key_once(syz):
         return basis.keyfn(t)
 
     fresh = RawBasis(basis.ambient, basis.field, counting, basis.elements, basis.leads)
+    fresh.by_pos  # the reducers are indexed, and their terms keyed, once
     e = _dense_element(basis.ambient, F, max(x.degree() for x in basis.elements) + 2, random.Random(5))
     seen = set()
-    expected = _rescan_normal_form(e.terms, F, fresh.by_pos, basis.keyfn, seen)
+    plain = _plain_reducers(zip(basis.leads, (x.terms for x in basis.elements)))
+    expected = _rescan_normal_form(e.terms, F, plain, basis.keyfn, seen)
     calls[0] = 0
     nf = fresh.normal_form(e)
     assert list(nf.terms.items()) == list(expected.items())
     assert len(nf.terms) < len(e.terms)  # lead terms of the basis were reduced away
-    assert calls[0] <= len(seen)
+    # keyfn runs on the input's terms only; every other key is a sum
+    assert calls[0] <= len(e.terms) <= len(seen)
 
 
-def _random_reducers(field, rank, keyfn, rng, count):
+def _random_reducers(field, rank, keyfn, rng, count, coefficients=range(1, 10)):
     """Monic elements of a rank-`rank` module, each scaled by its lead."""
     out = []
     for _ in range(count):
         terms = {}
         for _ in range(rng.randint(1, 6)):
             m = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-            terms[(rng.randrange(rank), m)] = field.coerce(rng.randint(1, 9))
+            terms[(rng.randrange(rank), m)] = field.coerce(rng.choice(coefficients))
         lead = max(terms, key=keyfn)
         inv = field.inv(terms[lead])
         out.append((lead, {t: field.mul(c, inv) for t, c in terms.items()}))
@@ -351,16 +374,100 @@ def test_kernel_matches_rescan_reference(seed, field, kind):
     rng = random.Random(seed)
     rank = rng.randint(1, 4)
     keyfn = top_key if kind == "top_key" else block_elim_key(1)
-    by_pos = {}
-    for (pos, m), terms in _random_reducers(field, rank, keyfn, rng, rng.randint(1, 6)):
-        by_pos.setdefault(pos, []).append((m, terms))
+    reducers = _random_reducers(field, rank, keyfn, rng, rng.randint(1, 6))
     element = {}
     for _ in range(rng.randint(1, 12)):
         m = (rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5))
         element[(rng.randrange(rank), m)] = field.coerce(rng.randint(1, 9))
-    expected = _rescan_normal_form(element, field, by_pos, keyfn, set())
-    got = _normal_form_terms(element, field, by_pos, TermKeys(keyfn))
+    expected = _rescan_normal_form(element, field, _plain_reducers(reducers), keyfn, set())
+    keys = TermKeys(keyfn)
+    got = _normal_form_terms(element, field, _kernel_reducers(reducers, keys), keys)
     assert list(got.items()) == list(expected.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.sampled_from([7, 32003]),
+    kind=st.sampled_from(["top_key", "block_elim_key"]),
+)
+def test_kernel_reduces_coefficients_mod_p_once(seed, p, kind):
+    # with coefficients 1, 2, (p + 1)/2, p - 2 and p - 1, pending sums such
+    # as 1 - 2 * (p + 1)/2 = -p vanish mod p but not as integers
+    field = PrimeField(p)
+    coefficients = (1, 2, (p + 1) // 2, p - 2, p - 1)
+    rng = random.Random(seed)
+    rank = rng.randint(1, 3)
+    keyfn = top_key if kind == "top_key" else block_elim_key(1)
+    reducers = _random_reducers(field, rank, keyfn, rng, rng.randint(1, 6), coefficients)
+    element = {}
+    for _ in range(rng.randint(1, 12)):
+        m = (rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5))
+        element[(rng.randrange(rank), m)] = rng.choice(coefficients)
+    expected = _rescan_normal_form(element, field, _plain_reducers(reducers), keyfn, set())
+    keys = TermKeys(keyfn)
+    got = _normal_form_terms(element, field, _kernel_reducers(reducers, keys), keys)
+    assert list(got.items()) == list(expected.items())
+    assert all(1 <= c < p for c in got.values())
+
+
+def test_kernel_skips_a_term_that_vanishes_only_mod_p():
+    # 2x + y - 2 * (x + y/2): the pending y-coefficient is 1 - (p + 1) = -p
+    field = PrimeField(7)
+    keys = TermKeys(top_key)
+    x, y = (0, (1, 0, 0)), (0, (0, 1, 0))
+    by_pos = _kernel_reducers([(x, {x: 1, y: 4})], keys)
+    assert _normal_form_terms({x: 2, y: 1}, field, by_pos, keys) == {}
+    assert _normal_form_terms({x: 2, y: 2}, field, by_pos, keys) == {y: 1}
+
+
+# --- the packed key layout the kernel relies on ----------------------------
+
+
+@st.composite
+def _monomials(draw, max_degree):
+    a = draw(st.integers(0, max_degree))
+    b = draw(st.integers(0, max_degree - a))
+    return (a, b, draw(st.integers(0, max_degree - a - b)))
+
+
+_key_functions = st.one_of(st.just(top_key), st.integers(0, 6).map(block_elim_key))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keyfn=_key_functions,
+    positions=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    m=_monomials(10),
+    n=_monomials(10),
+    s=_monomials(10),
+)
+def test_packed_key_of_a_shift_is_one_add(keyfn, positions, m, n, s):
+    # key(pos, m * x^s) - key(pos, m) depends on s alone, at degrees <= 20
+    keys = TermKeys(keyfn)
+    (p, q) = positions
+    delta = keys[(p, mono_mul(m, s))] - keys[(p, m)]
+    assert delta == keys[(q, mono_mul(n, s))] - keys[(q, n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keyfn=_key_functions,
+    terms=st.lists(st.tuples(st.integers(0, 5), _monomials(20)), min_size=1, max_size=12),
+)
+def test_kernel_decodes_terms_from_the_low_key_fields(keyfn, terms):
+    # with no reducer the normal form is the input, each term decoded from
+    # its key, in decreasing order
+    element = {t: F.one for t in terms}
+    got = _normal_form_terms(element, F, {}, TermKeys(keyfn))
+    assert list(got) == sorted(element, key=keyfn, reverse=True)
+
+
+@pytest.mark.parametrize("keyfn", [top_key, block_elim_key(2)], ids=["top_key", "block_elim_key"])
+@pytest.mark.parametrize("term", [(0, (1 << 31, 0, 0)), (0, (0, 0, (1 << 31) + 1)), ((1 << 31) + 1, (1, 0, 0))])
+def test_packed_key_out_of_range_raises(keyfn, term):
+    with pytest.raises(OverflowError):
+        TermKeys(keyfn)[term]
 
 
 # --- one-pass interreduction against the fixpoint loop it replaced ---------
@@ -380,7 +487,7 @@ def _fixpoint_reduced_basis(gens, field, keys):
         leads.append(lead)
 
     for g in gens:
-        terms = _normal_form_terms(g.terms, field, _index_leads(G, leads), keys)
+        terms = _normal_form_terms(g.terms, field, _index_leads(G, leads, keys), keys)
         if terms:
             add(terms)
     while pairs:
@@ -389,7 +496,7 @@ def _fixpoint_reduced_basis(gens, field, keys):
         s = G[i].mono_shift(mono_div(L, leads[i][1]), field.one) - G[j].mono_shift(
             mono_div(L, leads[j][1]), field.one
         )
-        terms = _normal_form_terms(s.terms, field, _index_leads(G, leads), keys)
+        terms = _normal_form_terms(s.terms, field, _index_leads(G, leads, keys), keys)
         if terms:
             add(terms)
 
@@ -397,7 +504,7 @@ def _fixpoint_reduced_basis(gens, field, keys):
     while changed:
         changed = False
         G, leads = _sorted_with_leads(G, leads, keys)
-        rest = _index_leads(G, leads)
+        rest = _index_leads(G, leads, keys)
         out, out_leads, out_pos = [], [], {}
         for e, (pos, _) in zip(G, leads):
             rest[pos].pop(0)
@@ -414,7 +521,7 @@ def _fixpoint_reduced_basis(gens, field, keys):
                 changed = True
             out.append(r)
             out_leads.append(lead)
-            out_pos.setdefault(lead[0], []).append((lead[1], r.terms))
+            out_pos.setdefault(lead[0], []).append(_reducer(r.terms, lead, keys))
         G, leads = out, out_leads
     return _sorted_with_leads(G, leads, keys)
 
