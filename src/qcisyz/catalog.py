@@ -144,23 +144,19 @@ def _kernel_basis_in_degree(cols, m: int, field, deg: int):
     ech = linalg.make_echelon(field, width + len(dom))
     out = []
     for r, (i, mono) in enumerate(dom):
-        vec = [field.zero] * (width + len(dom))
-        vec[width + r] = field.one
+        vec = {width + r: field.one}
         for j, col in enumerate(cols):
             for cm, cc in col[i].terms.items():
                 k = j * len(codom_monos) + codom_index[mono_mul(mono, cm)]
-                vec[k] = field.add(vec[k], cc)
+                vec[k] = field.add(vec.get(k, field.zero), cc)
         v = ech.reduce(vec)
-        if any(v[:width]):
+        if any(k < width for k in v):
             ech.insert(v)
             continue
-        combo = v[width:]
-        if isinstance(field, PrimeField):
-            combo = [int(c) for c in combo]
         comps = [{} for _ in range(m)]
-        for (ci, cmono), c in zip(dom, combo):
-            if c != field.zero:
-                comps[ci][cmono] = c
+        for k, c in sorted(v.items()):
+            ci, cmono = dom[k - width]
+            comps[ci][cmono] = c
         out.append(tuple(Polynomial(field, t) for t in comps))
     return out
 

@@ -365,9 +365,6 @@ class SubmoduleGB:
             raise ValueError("ambient module mismatch")
         return self._plain.normal_form(v)
 
-    def contains(self, v) -> bool:
-        return self.normal_form(v).is_zero()
-
     def representation(self, v) -> ModuleElement:
         """Cofactors a with v = sum a_i * gens_i; raises if v not a member."""
         if isinstance(v, Polynomial):

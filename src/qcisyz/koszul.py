@@ -139,7 +139,7 @@ def quotient_betti(basis, gens, numerator) -> BettiTable:
             for g in degree_gens:
                 ech.add(element_vector(ring.normal_form(g), index))
             standard = ring.standard[t]
-            rows = [{standard[col]: c for col, c in enumerate(row) if c} for row in ech.rows()]
+            rows = [{standard[col]: c for col, c in row.items()} for row in ech.rows()]
         q_t = hilbert_series_value(numerator, t)
         if len(rows) != q_t:
             raise InvariantError(
@@ -176,7 +176,7 @@ def _koszul_rank(field, i, images, standard):
     ech = linalg.make_echelon(field, n * len(block))
     for face in _FACES[i]:
         for p in range(len(images[0])):
-            row = [field.zero] * (n * len(block))
+            row = {}
             for r, a in enumerate(face):
                 base = n * block[face[:r] + face[r + 1 :]]
                 for u, c in images[a][p].items():

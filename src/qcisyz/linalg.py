@@ -13,18 +13,19 @@ generator twist: past it every degree-(t+1) generator multiple is a variable
 times a degree-t one, so P_{t+1} = S_1 * P_t = 0 (graded Nakayama) and the
 zeros it derives are exact.
 
-Over GF(p) the pivot rows are dense numpy vectors. Over Q they are kept
-sparse, as {column: value} of their nonzero entries, so a reduction step
-touches only a pivot row's nonzeros; `rows()` returns them dense.
+Over every field the rows are kept sparse, so a reduction step touches only
+a pivot row's nonzeros. A pivot row is stored as its tail, a list of
+(column, -value) right of its pivot, as `groebner._reducer` stores a monic
+element. Over GF(p) a vector being reduced holds plain ints, each taken mod
+p only when its column is reached (the lazy update of `groebner._reduce`);
+over Q the same code runs on Fractions.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 
-import numpy as np
-
-from .fields import PrimeField
 from .modules import PresentedModule
 from .orders import grevlex_key, monomial_count
 
@@ -57,7 +58,17 @@ def free_module_dim(twists, t: int) -> int:
 
 
 class _Echelon:
-    """Rows in echelon form, kept as {pivot column: normalized row}."""
+    """Rows in echelon form over a field, kept sparse.
+
+    A pivot row is normalized (its pivot is 1) and stored as its tail: a
+    list of (column, -value) of its other nonzeros, all right of the pivot.
+    Vectors in and out are {column: value} of their nonzero entries.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}  # pivot column -> tail
+        self.cols = []  # the pivot columns, increasing
 
     def add(self, vec) -> bool:
         """Reduce vec and keep it if it is independent of the rows kept."""
@@ -65,89 +76,57 @@ class _Echelon:
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
-
-
-class _PrimeEchelon(_Echelon):
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self.pivots = {}  # col -> normalized numpy row
+        return len(self.cols)
 
     def reduce(self, vec):
-        """vec reduced by every pivot row, in increasing pivot column."""
-        p = self.p
-        v = np.asarray(vec, dtype=np.int64) % p
-        for col in sorted(self.pivots):
-            c = v[col]
+        """vec reduced by every pivot row, in increasing pivot column. Over
+        GF(p) entries are plain ints while vec is reduced, each taken mod p
+        when its column is reached; the result is reduced mod p once."""
+        p = self.field.prime
+        v = dict(vec)
+        pop, get = v.pop, v.get
+        for col in self.cols:
+            c = pop(col, 0)
+            if p:
+                c %= p
             if c:
-                v = (v - c * self.pivots[col]) % p
-        return v
+                for j, b in self.pivots[col]:
+                    v[j] = get(j, 0) + c * b
+        if p:
+            v = {j: a % p for j, a in v.items()}
+        return {j: a for j, a in v.items() if a}
 
     def insert(self, v) -> bool:
         """Store a reduced vector as a pivot row; False if it is zero."""
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+        if not v:
             return False
-        col = int(nz[0])
-        inv = pow(int(v[col]), self.p - 2, self.p)
-        self.pivots[col] = (v * inv) % self.p
+        field = self.field
+        col = min(v)
+        scale = field.neg(field.inv(v[col]))
+        self.pivots[col] = [(j, field.mul(a, scale)) for j, a in sorted(v.items()) if j != col]
+        bisect.insort(self.cols, col)
         return True
 
     def rows(self):
-        """The pivot rows, by pivot column, as lists of field elements."""
-        return [self.pivots[col].tolist() for col in sorted(self.pivots)]
-
-
-class _FractionEchelon(_Echelon):
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots = {}  # col -> normalized row, {col: value} of its nonzeros
-
-    def reduce(self, vec):
-        """vec reduced by every pivot row, in increasing pivot column, as a
-        dense list."""
-        v = list(vec)
-        for col in sorted(self.pivots):
-            c = v[col]
-            if c:
-                for j, b in self.pivots[col].items():
-                    v[j] -= c * b
-        return v
-
-    def insert(self, v) -> bool:
-        """Store a reduced vector as a pivot row; False if it is zero."""
-        for col, c in enumerate(v):
-            if c:
-                self.pivots[col] = {j: a / c for j, a in enumerate(v) if a}
-                return True
-        return False
-
-    def rows(self):
-        """The pivot rows, by pivot column, as dense lists."""
-        out = []
-        for col in sorted(self.pivots):
-            row = [0] * self.width
-            for j, a in self.pivots[col].items():
-                row[j] = a
-            out.append(row)
-        return out
+        """The pivot rows, by pivot column, as {column: value} dicts."""
+        field = self.field
+        return [
+            {col: field.one, **{j: field.neg(b) for j, b in self.pivots[col]}}
+            for col in self.cols
+        ]
 
 
 def make_echelon(field, width: int):
-    """An echelon form of rows of the given width over the field: add(vec)
-    is reduce(vec), then insert of the reduced vector when it is nonzero."""
-    if isinstance(field, PrimeField):
-        return _PrimeEchelon(field.prime, width)
-    return _FractionEchelon(width)
+    """An echelon form of rows over the field: add(vec) is reduce(vec), then
+    insert of the reduced vector when it is nonzero. Nothing reads width;
+    it is kept for wrappers that pass it on (the traced benchmark's)."""
+    return _Echelon(field)
 
 
 def element_vector(terms: dict, index: dict):
-    """Coefficient vector of a term map in the basis given by index."""
-    vec = [0] * len(index)
-    for t, c in terms.items():
-        vec[index[t]] = c
-    return vec
+    """Coefficient vector of a term map in the basis given by index, as
+    {column: value}."""
+    return {index[t]: c for t, c in terms.items()}
 
 
 def _span(gens, twists, t: int, field):

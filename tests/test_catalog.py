@@ -143,7 +143,7 @@ def test_kernel_basis_matches_dense_reference(field, d_d1, seed):
         [list(t.items()) for t in v] for v in expected
     ]
     for v in kernel:
-        if field is F:  # plain ints, never numpy scalars
+        if field is F:  # plain ints in GF(p)
             assert all(type(c) is int for p in v for c in p.terms.values())
         for col in cols:
             dot = Polynomial.zero(field)

@@ -139,6 +139,19 @@ def test_python_dash_m_runs_the_command_line(capsys):
     assert code == 0 and proc.stdout == out
 
 
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, qcisyz, qcisyz.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_fuzz_deterministic_across_runs_and_jobs(tmp_path):
     args = ["fuzz", "--s", "2", "--count", "6", "--seed", "3"]
     outs = []
