@@ -499,22 +499,28 @@ def submodule_quotient(M, N):
     return drop_generators(sub.syz_ambient, relations, dropped)
 
 
+def _substitute_z(p: Polynomial, form: Polynomial) -> Polynomial:
+    """p(x, y, form), by Horner's rule in z."""
+    field = p.field
+    out = Polynomial.zero(field)
+    for k in range(max((m[2] for m in p.terms), default=-1), -1, -1):
+        part = {(i, j, 0): c for (i, j, e), c in p.terms.items() if e == k}
+        out = form * out + Polynomial(field, part)
+    return out
+
+
 def _shear(p: Polynomial, a, b) -> Polynomial:
     """p(x, y, z + a*x + b*y)."""
-    field = p.field
-    line = Polynomial.from_terms(field, [((0, 0, 1), 1), ((1, 0, 0), a), ((0, 1, 0), b)])
-    out, power = Polynomial.zero(field), Polynomial.constant(field, 1)
-    for k in range(p.degree() + 1):
-        part = {(i, j, 0): c for (i, j, e), c in p.terms.items() if e == k}
-        out, power = out + Polynomial(field, part) * power, power * line
-    return out
+    line = Polynomial.from_terms(p.field, [((0, 0, 1), 1), ((1, 0, 0), a), ((0, 1, 0), b)])
+    return _substitute_z(p, line)
 
 
 def _line_candidates(field):
     """(a, b) for the lines z + a*x + b*y, small coefficients first.
 
-    Over GF(p) every one of the p^2 such lines comes exactly once; over the
-    rationals the sequence does not end.
+    The identity line z comes first, so an ideal with no associated point on
+    z = 0 is saturated with no shear. Over GF(p) every one of the p^2 such
+    lines comes exactly once; over the rationals the sequence does not end.
     """
     p = field.prime
     n = 0
@@ -523,6 +529,49 @@ def _line_candidates(field):
             if p is None or (a < p and n - a < p):
                 yield field.coerce(a), field.coerce(n - a)
         n += 1
+
+
+def _univariate_gcd(u: Polynomial, v: Polynomial) -> Polynomial:
+    """A gcd of two polynomials in x alone, by Euclid's algorithm."""
+    field = u.field
+    while not v.is_zero():
+        dv = v.degree()
+        inv = field.inv(v.terms[(dv, 0, 0)])
+        while u.degree() >= dv:
+            du = u.degree()
+            u = u - v.mono_shift((du - dv, 0, 0), field.mul(u.terms[(du, 0, 0)], inv))
+        u, v = v, u
+    return u
+
+
+def _line_cut(gens, a, b):
+    """A Hilbert series numerator with the Hilbert polynomial of S/(I + l),
+    for I = (gens) and l = z + a*x + b*y, from the restrictions of the
+    generators to l alone.
+
+    S/(I + l) is k[x, y]/(r_i) with r_i = g_i(x, y, -a*x - b*y). That is
+    k[x, y], of Hilbert polynomial t + 1, when every r_i vanishes, and
+    otherwise has the constant Hilbert polynomial deg h, h = gcd(r_i). With
+    u_i = r_i(x, 1), r_i is y^(deg g_i - deg u_i) times u_i made homogeneous,
+    so deg h = min(deg g_i - deg u_i) + deg gcd(u_i) over the nonzero u_i.
+    """
+    field = gens[0].field
+    z_on_l = Polynomial.from_terms(field, [((1, 0, 0), field.neg(a)), ((0, 0, 0), field.neg(b))])
+    h, y_powers = Polynomial.zero(field), []
+    for g in gens:
+        at_y1 = Polynomial(field, {(i, 0, k): c for (i, _, k), c in g.terms.items()})
+        u = _substitute_z(at_y1, z_on_l)
+        if not u.is_zero():
+            h = _univariate_gcd(h, u)
+            y_powers.append(g.degree() - u.degree())
+    if not y_powers:
+        return {0: 1, 1: -1}
+    # k[x, y]/(h) has the numerator (1 - t)(1 - t^deg h) over (1 - t)^3
+    d = min(y_powers) + h.degree()
+    num = Counter({0: 1, 1: -1})
+    num[d] -= 1
+    num[d + 1] += 1
+    return {k: c for k, c in num.items() if c}
 
 
 def _strip_z(p: Polynomial) -> Polynomial:
@@ -537,31 +586,37 @@ def saturate(gb: SubmoduleGB) -> SubmoduleGB:
 
     One pass after Bayer and Stillman: if a linear form l lies in no
     associated prime of I other than the irrelevant one, I^sat = I : l^inf.
-    Lines l = z + a*x + b*y are tried in a fixed order; z |-> z - a*x - b*y
-    moves l to z, and in grevlex in(I' : z) = in(I') : z, so dividing each
-    element of the grevlex basis of I' by its largest power of z gives a
-    basis of I' : z^inf. A line is accepted when S/(I' : z^inf) has the
-    Hilbert polynomial of S/I, which fails exactly when l passes through an
-    associated point. Before that, a line is tested on the binary forms
-    I + (l) restricts to: l is a nonzerodivisor modulo I^sat iff
-    HP(S/(I + l))(t) = HP(S/I)(t) - HP(S/I)(t - 1). The result is moved
-    back, and its reduced basis returned.
+    Lines l = z + a*x + b*y are tried in a fixed order. A line is first cut
+    down to the binary forms I + (l) restricts to: l is a nonzerodivisor
+    modulo I^sat iff HP(S/(I + l))(t) = HP(S/I)(t) - HP(S/I)(t - 1), and
+    `_line_cut` reads HP(S/(I + l)) off a gcd of the restrictions, with no
+    shear and no Groebner basis. Only a line that passes is moved: z |-> z -
+    a*x - b*y moves l to z (the identity for z itself), and in grevlex
+    in(I' : z) = in(I') : z, so dividing each element of the grevlex basis
+    of I' by its largest power of z gives a basis of I' : z^inf. The line is
+    accepted when S/(I' : z^inf) has the Hilbert polynomial of S/I, which
+    fails exactly when l passes through an associated point. The result is
+    moved back, and its reduced basis returned; that basis does not depend
+    on the line.
     """
     gens = [e.component(0) for e in gb.gens]
     field = gb.field
-    z = Polynomial.variable(field, 2)
     for a, b in _line_candidates(field):
-        moved = [_shear(g, field.neg(a), field.neg(b)) for g in gens]
-        cut = groebner_basis(moved + [z]).numerator
-        hp, hp_cut = _hilbert_polynomial_values([gb.numerator, cut])
+        hp, hp_cut = _hilbert_polynomial_values([gb.numerator, _line_cut(gens, a, b)])
         if any(hp_cut[i] != hp[i] - hp[i - 1] for i in (1, 2, 3)):
             continue
-        moved_gb = gb if moved == gens else groebner_basis(moved)
+        if a or b:
+            moved_gb = groebner_basis([_shear(g, field.neg(a), field.neg(b)) for g in gens])
+        else:  # z itself needs no shear
+            moved_gb = gb
         colon_leads = [(m[0], m[1], 0) for m in moved_gb.lead_monomials()]
         hp, hp_colon = _hilbert_polynomial_values([gb.numerator, hilbert_numerator(colon_leads)])
         if hp_colon != hp:
             continue
-        return groebner_basis([_shear(_strip_z(e.component(0)), a, b) for e in moved_gb.basis])
+        sat = [_strip_z(e.component(0)) for e in moved_gb.basis]
+        if a or b:
+            sat = [_shear(p, a, b) for p in sat]
+        return groebner_basis(sat)
     raise InputError(
         f"no line z + a*x + b*y over GF({field.prime}) avoids the subscheme; "
         "the saturation needs a larger field"

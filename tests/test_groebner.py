@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qcisyz.catalog import random_qci
+from qcisyz import groebner
+from qcisyz.catalog import catalog_entry, random_nonzero_form, random_qci
 from qcisyz.errors import InputError
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.groebner import (
@@ -12,6 +13,7 @@ from qcisyz.groebner import (
     TermKeys,
     _hilbert_polynomial_values,
     _index_leads,
+    _line_cut,
     _normal_form_terms,
     _reducer,
     _sorted_with_leads,
@@ -195,6 +197,82 @@ def test_saturate_raises_when_every_line_meets_the_subscheme():
     F2 = PrimeField(2)
     with pytest.raises(InputError, match="GF\\(2\\)"):
         saturate(groebner_basis(polys(["x^2*y + x*y^2", "x*z^2", "z^3"], F2)))
+
+
+def _line(field, a, b):
+    return Polynomial.from_terms(field, [((0, 0, 1), 1), ((1, 0, 0), a), ((0, 1, 0), b)])
+
+
+def _cut_test_ideal(kind, field, l, rng):
+    """Generators of an ideal of the given kind, for the line l."""
+    x, y, z = (Polynomial.variable(field, i) for i in range(3))
+    deg = rng.randint(1, 3)
+    forms = [random_nonzero_form(field, deg, rng) for _ in range(6)]
+    if kind == "triple":  # zero-dimensional
+        return list(random_qci(rng.randint(2, 3), field, rng.randrange(10**6)).polys)
+    if kind == "line":
+        return [x]
+    if kind == "embedded":  # (x) with an embedded point at (0 : 0 : 1)
+        return [x * x, x * y, x * z]
+    if kind == "inside-l":  # every restriction to l vanishes
+        return [l * f for f in forms[:3]]
+    if kind == "one-vanishes":  # one generator vanishes on l
+        return [l * forms[0], forms[1], forms[2]]
+    # kind == "y-divides": every restriction to l is divisible by y
+    return [y * f + l * g for f, g in zip(forms[:3], forms[3:])]
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), F, QQ], ids=str)
+@pytest.mark.parametrize("kind", ["triple", "line", "embedded", "inside-l", "one-vanishes", "y-divides"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10**6), a=st.integers(-2, 3), b=st.integers(-2, 3))
+@example(seed=0, a=0, b=0)
+@example(seed=1, a=0, b=2)
+@example(seed=2, a=-1, b=0)
+def test_line_cut_has_the_hilbert_polynomial_of_the_section(kind, field, seed, a, b):
+    # the cut value from a gcd of the restrictions to l = z + a*x + b*y
+    # equals the Hilbert polynomial of S/(I + l) from a Groebner basis
+    a, b = field.coerce(a), field.coerce(b)
+    l = _line(field, a, b)
+    gens = _cut_test_ideal(kind, field, l, random.Random(seed))
+    reference = groebner_basis(gens + [l]).numerator
+    values, expected = _hilbert_polynomial_values([_line_cut(gens, a, b), reference])
+    assert values == expected
+
+
+def _counted_saturate(gb, monkeypatch):
+    """The bases Buchberger builds in saturate(gb), and the number of shears."""
+    runs, shears = [], []
+    buchberger_, shear_ = groebner.buchberger, groebner._shear
+
+    def counted_buchberger(*args):
+        runs.append(buchberger_(*args))
+        return runs[-1]
+
+    def counted_shear(*args):
+        shears.append(args)
+        return shear_(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counted_buchberger)
+    monkeypatch.setattr(groebner, "_shear", counted_shear)
+    saturate(gb)
+    return runs, len(shears)
+
+
+def test_saturate_accepts_z_with_one_run_and_no_shear(monkeypatch):
+    J = list(random_qci(5, F, 3).polys)
+    runs, shears = _counted_saturate(SubmoduleGB(J, syzygies=True), monkeypatch)
+    assert (len(runs), shears) == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["lines-4", "lines-5", "lines-6"])
+def test_rejected_lines_cost_no_groebner_run(name, monkeypatch):
+    J = list(partial_derivatives(catalog_entry(name).input_over(QQ).polys[0]))
+    runs, shears = _counted_saturate(SubmoduleGB(J, syzygies=True), monkeypatch)
+    # the moved ideal's basis and the final one, however many lines were
+    # rejected; the three generators moved, the moved basis moved back
+    assert len(runs) == 2
+    assert shears == len(J) + len(runs[0].elements)
 
 
 def test_zero_dimensional_and_colength():

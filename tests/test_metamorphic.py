@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from qcisyz.catalog import catalog_entry, random_qci
-from qcisyz.fields import PrimeField
+from qcisyz.fields import QQ, PrimeField
 from qcisyz.pipeline import QciInput, analyze
 from qcisyz.poly import Polynomial
 
@@ -61,6 +61,28 @@ def test_curve_invariants_survive_a_change_of_coordinates(name, seed):
     # in random ones it misses them
     inp = catalog_entry(name).input_over(F)
     forms = random_invertible_forms(random.Random(seed))
+    moved = QciInput.curve(substitute(inp.polys[0], forms))
+    assert invariants(moved) == invariants(inp)
+
+
+def random_unimodular_forms(rng):
+    """Three linear forms over the rationals whose coefficient matrix is an
+    integer matrix of determinant 1 or -1."""
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(3):
+        i, j = rng.sample(range(3), 2)
+        k = rng.choice([-1, 1, 2])
+        m[i] = [u + k * v for u, v in zip(m[i], m[j])]
+    rng.shuffle(m)
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [Polynomial.from_terms(QQ, zip(basis, row)) for row in m]
+
+
+@settings(max_examples=6, deadline=None)
+@given(name=st.sampled_from(["lines-4", "cubic-plus-line"]), seed=st.integers(0, 10**6))
+def test_curve_invariants_survive_a_change_of_coordinates_over_q(name, seed):
+    inp = catalog_entry(name).input_over(QQ)
+    forms = random_unimodular_forms(random.Random(seed))
     moved = QciInput.curve(substitute(inp.polys[0], forms))
     assert invariants(moved) == invariants(inp)
 

@@ -3,9 +3,10 @@
 `perfbench/spans.py` wraps program functions by name; a rename or deletion in
 `src/` breaks only the traced run, so each workload is traced once at its
 self-test size. Its work counters repeat exactly from run to run, so they
-also gate the work per operation: each ideal and module gets one basis and
-Q none (8 Buchberger runs, 9 where the deep checks present Q for the oracle
-of `oracle-fp`, and 50 basis elements on these inputs), and that oracle
+also gate the work per operation: each ideal and module gets one basis, Q
+none, and saturation rejects a line with no basis (7 Buchberger runs, 8
+where the deep checks present Q for the oracle of `oracle-fp`, and 50 basis
+elements on these inputs), and that oracle
 adds at most 900 echelon rows in at most 21 `hilbert_function` calls: it
 stops eliminating a presented module once the module has vanished.
 """
@@ -31,7 +32,7 @@ def test_traced_benchmark_runs(workload):
     assert result["failed"] == 0 and result["attempted"] > 0
     metrics = result["metrics"]
     assert "linalg.hilbert_function_calls" in metrics
-    assert metrics["groebner.buchberger_calls"]["value"] <= (9 if workload == "oracle-fp" else 8)
+    assert metrics["groebner.buchberger_calls"]["value"] <= (8 if workload == "oracle-fp" else 7)
     assert metrics["groebner.basis_elements"]["value"] <= 50
     if workload == "oracle-fp":
         # the deep checks evaluate the minimal presentations of N and Q, and
