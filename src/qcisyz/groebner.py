@@ -10,7 +10,11 @@ the manner of Monagan and Pearce's packed-exponent heap division (CASC
 2007): the keys of `orders.top_key` and `orders.block_elim_key` are affine
 in the monomial, so shifting a reducer's term by a monomial adds one
 integer to its key, and a term is decoded from its key's low four fields,
-(deg, -z, -y, -pos), only when it is popped.
+(deg, -z, -y, -pos), only when it is popped. Its coefficients are Python
+ints over both fields: over GF(p) the field's own, over Q numerators over
+one shared denominator, cleared fraction-free in the manner of Monagan and
+Pearce's heap pseudo-division (J. Symbolic Comput. 46, 2011), so no
+Fraction is built inside a reduction.
 
 Saturation at the irrelevant ideal is a single Bayer-Stillman pass: after a
 linear change of coordinates that moves a line missing every associated
@@ -22,7 +26,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from functools import cached_property, lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
+from math import gcd, lcm
 
 from .errors import InputError
 from .modules import FreeGradedModule, ModuleElement, drop_generators, poly_to_element
@@ -97,17 +103,30 @@ def _sorted_with_leads(elements, leads, keys):
     return [e for e, _ in pairs], [t for _, t in pairs]
 
 
-def _reducer(terms, lead, keys):
-    """A monic element as the kernel reads it: (lead mono, lead key, tail),
-    the tail a list of (key, -coefficient) of its other terms."""
-    return lead[1], keys[lead], [(keys[t], -c) for t, c in terms.items() if t != lead]
+def _reducer(terms, lead, keys, field):
+    """A monic element as the kernel reads it: (lead mono, lead key, a, tail).
+
+    a is the least common denominator of the element's coefficients over Q,
+    and 1 over GF(p); the tail lists (key, -a * coefficient) of the other
+    terms, all ints, so a times the element is a at the lead and the negated
+    tail.
+    """
+    a = 1
+    if field.prime is None:
+        # pairwise: lcm(*...) builds an argument tuple per call, and those
+        # short-lived tuples left about 1 MB more resident memory on qci-q
+        a = reduce(lcm, (c.denominator for c in terms.values()), 1)
+        tail = [(keys[t], -c.numerator * (a // c.denominator)) for t, c in terms.items() if t != lead]
+    else:
+        tail = [(keys[t], -c) for t, c in terms.items() if t != lead]
+    return lead[1], keys[lead], a, tail
 
 
 def _index_leads(elements, leads, keys):
     """Reducers by lead position: by_pos[pos] lists `_reducer`s in order."""
     by_pos = {}
     for e, lead in zip(elements, leads):
-        by_pos.setdefault(lead[0], []).append(_reducer(e.terms, lead, keys))
+        by_pos.setdefault(lead[0], []).append(_reducer(e.terms, lead, keys, e.field))
     return by_pos
 
 
@@ -116,19 +135,28 @@ def _normal_form_terms(terms, field, by_pos, keys):
     position (see `_index_leads`); the first reducer whose lead divides a
     term reduces it. The output lists its terms in decreasing order, so its
     first term is its lead."""
-    return _reduce({keys[t]: c for t, c in terms.items()}, field, by_pos, keys)
+    if field.prime is not None:
+        return _reduce({keys[t]: c for t, c in terms.items()}, field, by_pos, keys)
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    pending = {keys[t]: c.numerator * (den // c.denominator) for t, c in terms.items()}
+    return _reduce(pending, field, by_pos, keys, den)
 
 
-def _reduce(pending, field, by_pos, keys):
-    """`_normal_form_terms` on pending terms given as {packed key: coefficient}.
+def _reduce(pending, field, by_pos, keys, den=1):
+    """`_normal_form_terms` on pending terms given as {packed key: integer},
+    the coefficients being those integers over den.
 
     Pending terms sit in a heap of negated keys and the largest is popped
-    each step. A reducer with lead key g cancels the popped key k and adds
-    each tail term at its key plus k - g (see `TermKeys`). Over GF(p)
-    pending coefficients are plain ints, reduced mod p once, when popped; a
-    term that is then 0 is skipped. Reducers only add terms below the popped
-    one, so no key is pushed twice or popped twice. The keys of the output
-    terms are memoized in keys.
+    each step. A reducer (see `_reducer`) with lead key g cancels the popped
+    key k and adds each tail term at its key plus k - g (see `TermKeys`).
+    Over GF(p) den is 1 and pending coefficients are plain ints, reduced mod
+    p once, when popped; a term that is then 0 is skipped. Over Q the kernel
+    divides fraction-free (Monagan and Pearce, J. Symbolic Comput. 46, 2011):
+    to cancel c/den by a reducer of denominator a, every pending and output
+    integer, and den, is multiplied by a/gcd(a, c), and c/gcd(a, c) times
+    the reducer's integer tail is added. Reducers only add terms below the
+    popped one, so no key is pushed twice or popped twice. The output holds
+    field elements; the keys of its terms are memoized in keys.
     """
     heap = [-k for k in pending]
     heapq.heapify(heap)
@@ -146,7 +174,7 @@ def _reduce(pending, field, by_pos, keys):
         y = _HALF - ((k >> 32) & _MASK)
         z = _HALF - ((k >> 64) & _MASK)
         x = ((k >> 96) & _MASK) - _HALF - y - z
-        for gm, gkey, tail in by_pos.get(pos, ()):
+        for gm, gkey, a, tail in by_pos.get(pos, ()):
             if gm[0] <= x and gm[1] <= y and gm[2] <= z:
                 break
         else:
@@ -154,6 +182,16 @@ def _reduce(pending, field, by_pos, keys):
             out[t] = c
             keys[t] = k
             continue
+        if a != 1:
+            g = gcd(a, c)
+            c //= g
+            m = a // g
+            if m != 1:
+                den *= m
+                for kk in pending:
+                    pending[kk] *= m
+                for t in out:
+                    out[t] *= m
         delta = k - gkey
         for kk, cc in tail:
             k2 = kk + delta
@@ -163,7 +201,9 @@ def _reduce(pending, field, by_pos, keys):
                 push(heap, -k2)
             else:
                 pending[k2] = old + cc * c
-    return out
+    if p:
+        return out
+    return {t: Fraction(c, den) for t, c in out.items()}
 
 
 class RawBasis:
@@ -195,7 +235,8 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
 
     Buchberger's product criterion is used for ideals (rank-one ambient),
     the only case where it is valid. An S-polynomial is built in the
-    kernel's packed form from the two tails, since the leads cancel.
+    kernel's packed form from the two integer tails, since the leads cancel;
+    over Q that is a_i a_j S, which has the same monic normal form as S.
     """
     rank1_criterion = ambient.rank == 1
     keys = TermKeys(keyfn)
@@ -228,7 +269,7 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
     def add_elem(terms):
         lead = next(iter(terms))
         e = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
-        red = _reducer(e.terms, lead, keys)
+        red = _reducer(e.terms, lead, keys, field)
         G.append(e)
         leads.append(lead)
         reducers.append(red)
@@ -267,15 +308,16 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
                     break
         if skip:
             continue
-        # S = x^(L - mi) G[i] - x^(L - mj) G[j]; the tails hold -coefficients
+        # a_i a_j S = a_j x^(L - mi) a_i G[i] - a_i x^(L - mj) a_j G[j], in
+        # integers; the tails hold -a * coefficients
         kL = keys[(pi, L)]
-        _, ki, tail_i = reducers[i]
-        _, kj, tail_j = reducers[j]
+        _, ki, ai, tail_i = reducers[i]
+        _, kj, aj, tail_j = reducers[j]
         di, dj = kL - ki, kL - kj
-        s = {kk + dj: cc for kk, cc in tail_j}
+        s = {kk + dj: ai * cc for kk, cc in tail_j}
         for kk, cc in tail_i:
             k2 = kk + di
-            s[k2] = s.get(k2, 0) - cc
+            s[k2] = s.get(k2, 0) - aj * cc
         terms = _reduce(s, field, by_pos, keys)
         if terms:
             add_elem(terms)

@@ -16,9 +16,9 @@ zeros it derives are exact.
 Over every field the rows are kept sparse, so a reduction step touches only
 a pivot row's nonzeros. A pivot row is stored as its tail, a list of
 (column, -value) right of its pivot, as `groebner._reducer` stores a monic
-element. Over GF(p) a vector being reduced holds plain ints, each taken mod
-p only when its column is reached (the lazy update of `groebner._reduce`);
-over Q the same code runs on Fractions.
+element over GF(p). Over GF(p) a vector being reduced holds plain ints, each
+taken mod p only when its column is reached (the lazy update of
+`groebner._reduce`); over Q the same code runs on Fractions.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -384,11 +385,11 @@ def _plain_reducers(reducers):
     return by_pos
 
 
-def _kernel_reducers(reducers, keys):
+def _kernel_reducers(reducers, keys, field):
     """The same reducers indexed for the kernel."""
     by_pos = {}
     for lead, terms in reducers:
-        by_pos.setdefault(lead[0], []).append(_reducer(terms, lead, keys))
+        by_pos.setdefault(lead[0], []).append(_reducer(terms, lead, keys, field))
     return by_pos
 
 
@@ -461,7 +462,7 @@ def test_kernel_matches_rescan_reference(seed, field, kind):
         element[(rng.randrange(rank), m)] = field.coerce(rng.randint(1, 9))
     expected = _rescan_normal_form(element, field, _plain_reducers(reducers), keyfn, set())
     keys = TermKeys(keyfn)
-    got = _normal_form_terms(element, field, _kernel_reducers(reducers, keys), keys)
+    got = _normal_form_terms(element, field, _kernel_reducers(reducers, keys, field), keys)
     assert list(got.items()) == list(expected.items())
 
 
@@ -486,7 +487,7 @@ def test_kernel_reduces_coefficients_mod_p_once(seed, p, kind):
         element[(rng.randrange(rank), m)] = rng.choice(coefficients)
     expected = _rescan_normal_form(element, field, _plain_reducers(reducers), keyfn, set())
     keys = TermKeys(keyfn)
-    got = _normal_form_terms(element, field, _kernel_reducers(reducers, keys), keys)
+    got = _normal_form_terms(element, field, _kernel_reducers(reducers, keys, field), keys)
     assert list(got.items()) == list(expected.items())
     assert all(1 <= c < p for c in got.values())
 
@@ -496,9 +497,55 @@ def test_kernel_skips_a_term_that_vanishes_only_mod_p():
     field = PrimeField(7)
     keys = TermKeys(top_key)
     x, y = (0, (1, 0, 0)), (0, (0, 1, 0))
-    by_pos = _kernel_reducers([(x, {x: 1, y: 4})], keys)
+    by_pos = _kernel_reducers([(x, {x: 1, y: 4})], keys, field)
     assert _normal_form_terms({x: 2, y: 1}, field, by_pos, keys) == {}
     assert _normal_form_terms({x: 2, y: 2}, field, by_pos, keys) == {y: 1}
+
+
+_RATIONAL_COEFFICIENTS = (Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(3), Fraction(-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["top_key", "block_elim_key"]))
+def test_fraction_free_kernel_matches_fraction_division(seed, kind):
+    # monic reducers with coefficients such as 1/2, -2/3 and 7/5 have
+    # denominators a != 1, so the kernel rescales its integers and den
+    rng = random.Random(seed)
+    rank = rng.randint(1, 3)
+    keyfn = top_key if kind == "top_key" else block_elim_key(1)
+    reducers = _random_reducers(QQ, rank, keyfn, rng, rng.randint(1, 6), _RATIONAL_COEFFICIENTS)
+    element = {}
+    for _ in range(rng.randint(1, 12)):
+        m = (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4))
+        element[(rng.randrange(rank), m)] = rng.choice(_RATIONAL_COEFFICIENTS) * rng.randint(1, 9)
+    expected = _rescan_normal_form(element, QQ, _plain_reducers(reducers), keyfn, set())
+    keys = TermKeys(keyfn)
+    got = _normal_form_terms(element, QQ, _kernel_reducers(reducers, keys, QQ), keys)
+    assert list(got.items()) == list(expected.items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_fraction_free_step_rescales_the_output_and_the_denominator():
+    # x + y reduced by y + (2/3) z: the reducer's tail is (z, -2) over a = 3;
+    # cancelling y scales the output x and den by 3, giving x - (2/3) z
+    keys = TermKeys(top_key)
+    x, y, z = (0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1))
+    by_pos = _kernel_reducers([(y, {y: QQ.one, z: Fraction(2, 3)})], keys, QQ)
+    assert by_pos[0] == [((0, 1, 0), keys[y], 3, [(keys[z], -2)])]
+    assert _normal_form_terms({x: QQ.one, y: QQ.one}, QQ, by_pos, keys) == {
+        x: Fraction(1),
+        z: Fraction(-2, 3),
+    }
+
+
+def test_reducers_over_a_prime_field_are_integral():
+    field = PrimeField(7)
+    keys = TermKeys(top_key)
+    x, y, z = (0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1))
+    gm, gkey, a, tail = _reducer({x: 1, y: 4, z: 6}, x, keys, field)
+    assert (gm, gkey, a) == ((1, 0, 0), keys[x], 1)
+    assert tail == [(keys[y], -4), (keys[z], -6)]
+    assert all(type(c) is int for _, c in tail)
 
 
 # --- the packed key layout the kernel relies on ----------------------------
@@ -601,7 +648,7 @@ def _fixpoint_reduced_basis(gens, field, keys):
                 changed = True
             out.append(r)
             out_leads.append(lead)
-            out_pos.setdefault(lead[0], []).append(_reducer(r.terms, lead, keys))
+            out_pos.setdefault(lead[0], []).append(_reducer(r.terms, lead, keys, field))
         G, leads = out, out_leads
     return _sorted_with_leads(G, leads, keys)
 

@@ -2,7 +2,9 @@
 on the coordinates, nor on the order or scaling of its three forms."""
 
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcisyz.catalog import catalog_entry, random_qci
@@ -14,8 +16,11 @@ F = PrimeField(32003)
 
 
 def invariants(inp):
+    """tau, the exponents, the second-syzygy degrees and the Betti tables of
+    AR, Sigma, N and Q."""
     a = analyze(inp)
-    return a.tau, a.exponents, a.second_syzygy_degrees, a.sigma_betti
+    tables = (a.ar_betti, a.sigma_betti, a.z and a.z.z_betti, a.h1 and a.h1.h1_betti)
+    return a.tau, a.exponents, a.second_syzygy_degrees, tables
 
 
 def substitute(f, forms):
@@ -98,3 +103,30 @@ def test_invariants_survive_permuting_and_rescaling_the_forms(s, seed, perm, sca
     inp = random_qci(s, F, seed)
     shuffled = QciInput.triple(*(inp.polys[i].scale(c) for i, c in zip(perm, scales)))
     assert invariants(shuffled) == invariants(inp)
+
+
+# rationals whose denominators and numerators are not 1
+RATIONAL_SCALES = (Fraction(3, 7), Fraction(-5, 2), Fraction(2, 9), Fraction(-11, 4))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    perm=st.permutations([0, 1, 2]),
+    scales=st.lists(st.sampled_from(RATIONAL_SCALES), min_size=3, max_size=3),
+)
+def test_invariants_survive_rational_rescaling_over_q(s, seed, perm, scales):
+    inp = random_qci(s, QQ, seed)
+    shuffled = QciInput.triple(*(inp.polys[i].scale(c) for i, c in zip(perm, scales)))
+    assert invariants(shuffled) == invariants(inp)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    name=st.sampled_from(["nodal-quartic", "cubic-plus-line", "two-conics", "lines-4"]),
+    scale=st.sampled_from(RATIONAL_SCALES),
+)
+def test_curve_invariants_survive_rational_rescaling_over_q(name, scale):
+    inp = catalog_entry(name).input_over(QQ)
+    assert invariants(QciInput.curve(inp.polys[0].scale(scale))) == invariants(inp)
