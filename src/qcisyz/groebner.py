@@ -34,7 +34,7 @@ from .errors import InputError
 from .modules import FreeGradedModule, ModuleElement, drop_generators, poly_to_element
 from .orders import (
     block_elim_key,
-    hilbert_series_value,
+    hilbert_polynomial,
     mono_deg,
     mono_div,
     mono_divides,
@@ -434,14 +434,10 @@ class SubmoduleGB:
         return hilbert_numerator(self.lead_monomials())
 
     def colength(self):
-        """Eventual Hilbert function of S/I, or None when V(I) is not finite.
-
-        Beyond the numerator degree the Hilbert function equals the Hilbert
-        polynomial (quadratic in t); three equal consecutive values pin it
-        to a constant.
-        """
-        v = _hilbert_polynomial_values([self.numerator])[0]
-        return v[0] if v[0] == v[1] == v[2] else None
+        """Degree of V(I), the constant Hilbert polynomial of S/I, or None
+        when V(I) is not finite."""
+        e0, e1, e2 = hilbert_polynomial(self.numerator)
+        return e2 if e0 == e1 == 0 else None
 
 
 def hilbert_numerator(lead_monomials):
@@ -467,14 +463,6 @@ def hilbert_numerator(lead_monomials):
     return rec(_interreduce_monomials(tuple(sorted(lead_monomials))))
 
 
-def _hilbert_polynomial_values(nums):
-    """For each Hilbert series numerator, the Hilbert function at four
-    consecutive degrees past every numerator's degree, where it agrees with
-    the Hilbert polynomial; three values fix a polynomial of degree <= 2."""
-    t0 = max(max(num, default=0) + 1 for num in nums)
-    return [[hilbert_series_value(num, t) for t in range(t0, t0 + 4)] for num in nums]
-
-
 def _interreduce_monomials(gens):
     out = []
     for g in sorted(set(gens), key=mono_deg):
@@ -497,29 +485,12 @@ def syzygies(gens):
 
 
 def colon(gens, g: Polynomial):
-    """Generators of (I : g)."""
+    """Generators of (I : g), the last components of the syzygies of (gens, g)."""
     if g.is_zero():
         raise ValueError("colon by zero")
-    sub = SubmoduleGB(list(gens) + [g], syzygies=True)
-    out = []
     last = len(gens)
-    for s in sub.syzygies:
-        q = s.component(last)
-        if not q.is_zero():
-            out.append(q)
-    return _prune_ideal_gens(out)
-
-
-def _prune_ideal_gens(gens):
-    """Deterministic small generating set: a minimal subset of gens."""
-    from .linalg import minimal_generators
-
-    amb = FreeGradedModule((0,))
-    elems = [poly_to_element(p, amb) for p in gens if not p.is_zero()]
-    if not elems:
-        return [Polynomial.zero(gens[0].field)]
-    kept = minimal_generators(elems)
-    return [e.component(0) for e in kept]
+    syz = SubmoduleGB(list(gens) + [g], syzygies=True).syzygies
+    return [q for q in (e.component(last) for e in syz) if not q.is_zero()]
 
 
 def submodule_quotient(M, N):
@@ -587,9 +558,9 @@ def _univariate_gcd(u: Polynomial, v: Polynomial) -> Polynomial:
 
 
 def _line_cut(gens, a, b):
-    """A Hilbert series numerator with the Hilbert polynomial of S/(I + l),
-    for I = (gens) and l = z + a*x + b*y, from the restrictions of the
-    generators to l alone.
+    """The Hilbert polynomial of S/(I + l) as `orders.hilbert_polynomial`
+    writes it, for I = (gens) and l = z + a*x + b*y, from the restrictions
+    of the generators to l alone.
 
     S/(I + l) is k[x, y]/(r_i) with r_i = g_i(x, y, -a*x - b*y). That is
     k[x, y], of Hilbert polynomial t + 1, when every r_i vanishes, and
@@ -607,13 +578,8 @@ def _line_cut(gens, a, b):
             h = _univariate_gcd(h, u)
             y_powers.append(g.degree() - u.degree())
     if not y_powers:
-        return {0: 1, 1: -1}
-    # k[x, y]/(h) has the numerator (1 - t)(1 - t^deg h) over (1 - t)^3
-    d = min(y_powers) + h.degree()
-    num = Counter({0: 1, 1: -1})
-    num[d] -= 1
-    num[d + 1] += 1
-    return {k: c for k, c in num.items() if c}
+        return (0, 1, 0)
+    return (0, 0, min(y_powers) + h.degree())
 
 
 def _strip_z(p: Polynomial) -> Polynomial:
@@ -628,33 +594,29 @@ def saturate(gb: SubmoduleGB) -> SubmoduleGB:
 
     One pass after Bayer and Stillman: if a linear form l lies in no
     associated prime of I other than the irrelevant one, I^sat = I : l^inf.
-    Lines l = z + a*x + b*y are tried in a fixed order. A line is first cut
-    down to the binary forms I + (l) restricts to: l is a nonzerodivisor
-    modulo I^sat iff HP(S/(I + l))(t) = HP(S/I)(t) - HP(S/I)(t - 1), and
-    `_line_cut` reads HP(S/(I + l)) off a gcd of the restrictions, with no
-    shear and no Groebner basis. Only a line that passes is moved: z |-> z -
-    a*x - b*y moves l to z (the identity for z itself), and in grevlex
-    in(I' : z) = in(I') : z, so dividing each element of the grevlex basis
-    of I' by its largest power of z gives a basis of I' : z^inf. The line is
-    accepted when S/(I' : z^inf) has the Hilbert polynomial of S/I, which
-    fails exactly when l passes through an associated point. The result is
-    moved back, and its reduced basis returned; that basis does not depend
-    on the line.
+    Lines l = z + a*x + b*y are tried in a fixed order, each cut down to the
+    binary forms I + (l) restricts to. By the exact sequence
+    0 -> ((I : l)/I)(-1) -> (S/I)(-1) -> S/I -> S/(I + l) -> 0, l is a
+    nonzerodivisor modulo I^sat iff HP(S/(I + l))(t) = HP(S/I)(t) -
+    HP(S/I)(t - 1), that is (0, e0, e1) for HP(S/I) = (e0, e1, e2) as
+    `orders.hilbert_polynomial` writes it; `_line_cut` reads HP(S/(I + l))
+    off a gcd of the restrictions, with no shear and no Groebner basis. The
+    first line that passes is moved: z |-> z - a*x - b*y moves l to z (the
+    identity for z itself), and in grevlex in(I' : z) = in(I') : z, so
+    dividing each element of the grevlex basis of I' by its largest power of
+    z gives a basis of I' : z^inf = I'^sat. The result is moved back, and its
+    reduced basis returned; that basis does not depend on the line.
     """
     gens = [e.component(0) for e in gb.gens]
     field = gb.field
+    e0, e1, _ = hilbert_polynomial(gb.numerator)
     for a, b in _line_candidates(field):
-        hp, hp_cut = _hilbert_polynomial_values([gb.numerator, _line_cut(gens, a, b)])
-        if any(hp_cut[i] != hp[i] - hp[i - 1] for i in (1, 2, 3)):
+        if _line_cut(gens, a, b) != (0, e0, e1):
             continue
         if a or b:
             moved_gb = groebner_basis([_shear(g, field.neg(a), field.neg(b)) for g in gens])
         else:  # z itself needs no shear
             moved_gb = gb
-        colon_leads = [(m[0], m[1], 0) for m in moved_gb.lead_monomials()]
-        hp, hp_colon = _hilbert_polynomial_values([gb.numerator, hilbert_numerator(colon_leads)])
-        if hp_colon != hp:
-            continue
         sat = [_strip_z(e.component(0)) for e in moved_gb.basis]
         if a or b:
             sat = [_shear(p, a, b) for p in sat]

@@ -6,9 +6,9 @@ function*: larger key means larger monomial, so ``max(terms,
 key=...)`` picks the lead term and ``sorted(..., reverse=True)`` lists terms
 in decreasing order.
 
-It also holds the count of monomials per degree and the one evaluator of a
-Hilbert series numerator over (1-t)^3, which every Hilbert value of the
-analysis goes through.
+It also holds the count of monomials per degree and the two readings of a
+Hilbert series numerator over (1-t)^3 that every Hilbert value of the
+analysis goes through: its value at one degree, and its Hilbert polynomial.
 """
 
 from __future__ import annotations
@@ -46,6 +46,20 @@ def monomial_count(t: int) -> int:
 def hilbert_series_value(num: dict, t: int) -> int:
     """Degree-t coefficient of num(t)/(1-t)^3, num a {degree: coefficient} map."""
     return sum(c * monomial_count(t - a) for a, c in num.items())
+
+
+def hilbert_polynomial(num: dict) -> tuple:
+    """(e0, e1, e2) = (N(1), -N'(1), N''(1)/2) for the series N(t)/(1-t)^3,
+    N given by num, a {degree: coefficient} map (negative degrees allowed).
+    From degree max(num) - 2 on, the series' coefficient is the Hilbert
+    polynomial e0 * binom(t+2, 2) + e1 * (t+1) + e2 (Bruns and Herzog,
+    Cohen-Macaulay Rings, 4.1). For S/I with V(I) finite, e0 = e1 = 0 and
+    e2 = deg V(I)."""
+    return (
+        sum(num.values()),
+        -sum(a * c for a, c in num.items()),
+        sum(a * (a - 1) * c for a, c in num.items()) // 2,
+    )
 
 
 def grevlex_key(m):

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 from qcisyz.orders import (
     block_elim_key,
     grevlex_key,
+    hilbert_polynomial,
+    hilbert_series_value,
     mono_deg,
     mono_divides,
     mono_lcm,
@@ -51,3 +53,16 @@ def test_module_keys():
     assert top_key((0, m)) > top_key((1, m)) > top_key((0, n))
     # block order: positions below the split dominate everything above
     assert blk((0, n)) > blk((1, m))
+
+
+numerators = st.dictionaries(st.integers(-6, 11), st.integers(-20, 20).filter(bool), max_size=8)
+
+
+@given(num=numerators)
+def test_hilbert_polynomial_is_the_eventual_series(num):
+    # e0 * binom(t+2, 2) + e1 * (t+1) + e2 is the series' coefficient at
+    # every degree past the numerator's degree
+    e0, e1, e2 = hilbert_polynomial(num)
+    t0 = max(num, default=0) + 1
+    for t in range(t0, t0 + 4):
+        assert e0 * (t + 1) * (t + 2) // 2 + e1 * (t + 1) + e2 == hilbert_series_value(num, t)

@@ -289,6 +289,18 @@ def _presentation_inputs():
             yield random_qci(s, F, seed)
 
 
+@pytest.mark.parametrize("name", ["lines-4", "lines-6", "cubic-plus-line"])
+def test_a_wrongly_accepted_line_is_caught_by_the_tau_check(name, monkeypatch):
+    # z = 0 meets the singular points, so the cut test rejects it; forced to
+    # accept it, saturate returns I : z^inf, which has lost those points
+    inp = catalog_entry(name).input_over(QQ)
+    J = jacobian_ideal(inp.polys[0])
+    assert groebner._line_cut(J, QQ.zero, QQ.zero) != (0, 0, 0)
+    monkeypatch.setattr(groebner, "_line_cut", lambda gens, a, b: (0, 0, 0))
+    with pytest.raises(InvariantError, match="eventual Hilbert values of J and its saturation differ"):
+        analyze(inp)
+
+
 def test_n_and_q_are_presented_minimally(monkeypatch):
     """N on rho_2..rho_m and Q on Sigma's minimal generators outside J: no
     relation has a constant entry, and the generators are as many as the
