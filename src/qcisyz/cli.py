@@ -1,10 +1,10 @@
 """Command-line surface: analyze, check, fuzz, catalog, search-tau-plus.
 
 Exit codes: 0 success, 2 invalid input or an output file that cannot be
-written, 3 internal invariant failure, 4 check violations. A fuzz run that
-finishes exits 0: its summary counts the check incidents and the instances
-that raised (`failures`, with the exit code each maps to), and --quarantine
-keeps a replay record of each.
+written, 3 internal invariant failure or any other unexpected exception,
+4 check violations. A fuzz run that finishes exits 0: its summary counts
+the check incidents and the instances that raised (`failures`, with the
+exit code each maps to), and --quarantine keeps a replay record of each.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def cmd_check(args) -> int:
 
 def _failure_incident(e) -> dict:
     """An instance whose analysis raised, with the exit code it maps to."""
-    code = EXIT_INTERNAL if isinstance(e, InvariantError) else EXIT_INPUT
+    code = EXIT_INPUT if isinstance(e, InputError) else EXIT_INTERNAL
     return {
         "id": f"exit-{code}",
         "severity": "failure",
@@ -129,7 +129,7 @@ def _fuzz_one(task):
         record["input"] = input_to_json(inp)
         a = analyze(inp)
         report = check_all(a)
-    except (InputError, InvariantError) as e:
+    except Exception as e:
         return dict(record, tau=None, d1=None, m=None, incidents=[_failure_incident(e)])
     incidents = [
         r.to_json()
@@ -333,6 +333,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InvariantError as e:
         print(f"internal invariant failure: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

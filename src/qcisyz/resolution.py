@@ -222,7 +222,7 @@ def predicted_sigma_tables(exponents, b, d: int):
     exponents = sorted(exponents)
     b = sorted(b)
     if sum(exponents) - sum(b) != d - 1:
-        raise ValueError("inconsistent exponent data: sum d_i - sum b_j != d-1")
+        raise ValueError("inconsistent exponent data: the d_i less the b_j do not sum to d-1")
     gens = Counter({d - 1: 3})
     for bj in b:
         gens[2 * d - 2 - bj] += 1

@@ -251,10 +251,7 @@ def test_fuzz_jobs_clamped_to_cpu_count(monkeypatch):
     assert cli.pool_size(8) == 1
 
 
-@pytest.mark.parametrize(
-    "error, code", [(InvariantError, 3), (InputError, 2)]
-)
-def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch, error, code):
+def _fuzz_with_a_raising_instance(tmp_path, capsys, monkeypatch, error, code, *flags):
     from qcisyz.catalog import random_qci
     from qcisyz.fields import PrimeField
     from qcisyz.report import input_to_json
@@ -273,7 +270,7 @@ def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch,
     code_out, doc = run_json(
         capsys,
         "fuzz", "--s", "2", "--count", "3", "--seed", "7",
-        "--quarantine", str(qdir),
+        "--quarantine", str(qdir), *flags,
     )
     assert code_out == 0
     assert doc["failures"] == 1 and doc["violations"] == 0
@@ -285,6 +282,32 @@ def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch,
     assert record["incident"]["exit_code"] == code
     assert record["incident"]["error"] == error.__name__
     assert record["incident"]["message"] == "injected failure"
+
+
+@pytest.mark.parametrize(
+    "error, code", [(InvariantError, 3), (InputError, 2), (ZeroDivisionError, 3)]
+)
+def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch, error, code):
+    _fuzz_with_a_raising_instance(tmp_path, capsys, monkeypatch, error, code)
+
+
+def test_fuzz_quarantines_an_unexpected_exception_in_a_worker(tmp_path, capsys, monkeypatch):
+    # two workers even on one CPU: the instance raises inside a pool process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _fuzz_with_a_raising_instance(
+        tmp_path, capsys, monkeypatch, ZeroDivisionError, 3, "--jobs", "2"
+    )
+
+
+def test_unexpected_exception_exits_3_without_a_traceback(capsys, monkeypatch):
+    def dividing(inp):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "analyze", dividing)
+    code = cli.main(["analyze", "--curve", "z*y^2 - x^3 - z*x^2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: division by zero\n"
 
 
 @pytest.mark.parametrize("argv", [["catalog"], ["analyze", "--curve", "z*y^2 - x^3 - z*x^2"]])

@@ -8,19 +8,19 @@ from qcisyz.catalog import builtin_catalog, catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.groebner import submodule_quotient
 from qcisyz.modules import FreeGradedModule, PresentedModule, poly_to_element
-from qcisyz.orders import top_key
+from qcisyz.orders import hilbert_polynomial, top_key
 from qcisyz.parsing import parse_polynomial
 from qcisyz.pipeline import (
     InputError,
     InvariantError,
     QciInput,
     analyze,
-    c2_from_exponents,
     chern_and_formulas,
     jacobian_ideal,
     verify_hilbert_consistency,
 )
-from qcisyz.resolution import BettiTable, betti, minimal_resolution
+from qcisyz.report import analysis_to_json, render_json
+from qcisyz.resolution import BettiTable, betti, hilbert_series, minimal_resolution
 
 F = PrimeField(32003)
 
@@ -136,13 +136,6 @@ def test_chern_and_formulas():
         chern_and_formulas(2, 0, 1)
 
 
-def test_c2_from_exponents_matches_chern():
-    # nodal cubic data
-    assert c2_from_exponents((2, 2, 2, 2), (3, 3)) == 3
-    # two conics
-    assert c2_from_exponents((2, 3, 3, 3), (4, 4)) == 5
-
-
 def test_deep_checks_pass_on_catalog_examples():
     for text in ["x*y*z", "(x*z - y^2)*(x^2 - y*z)"]:
         a = analyze(curve(text), deep_checks=True)
@@ -186,9 +179,13 @@ def test_default_path_runs_no_degreewise_hilbert_evaluator(monkeypatch):
 
     monkeypatch.setattr(pipeline, "hilbert_function", refuse)
     a = analyze(catalog_entry("lines-4").input_over(QQ))
-    assert (a.tau, a.deg_Z, a.z.deg_Z) == (6, 1, 1)
-    b = analyze(random_qci(3, F, 0))
-    assert b.z.deg_Z == b.deg_Z
+    assert (a.tau, a.deg_Z) == (6, 1)
+    for x in (a, analyze(random_qci(3, F, 0))):
+        # N = I_Z(d1 - s): S/I_Z has the numerator 1 - t^(d1-s) * num(N)
+        num = Counter({0: 1})
+        for deg, c in hilbert_series(x.z.z_betti).items():
+            num[deg + x.d1 - x.s] -= c
+        assert hilbert_polynomial(num) == (0, 0, x.deg_Z)
 
     calls = []
 
@@ -351,8 +348,10 @@ def test_koszul_table_of_q_equals_its_resolution(first, second):
 
 
 def test_q_gets_no_presentation_and_no_resolution_by_default(monkeypatch):
-    """The default path resolves AR, Sigma and N and never presents Q;
-    only the deep checks' oracle presents it."""
+    """The default path resolves AR, Sigma and N once each and never
+    presents Q; only the deep checks' oracle presents it. On every catalog
+    curve, over both fields, AR's syzygies up to the top positive degree of
+    the series J's staircase fixes generate AR: the full rerun never fires."""
     calls = Counter()
 
     def counting(name, fn):
@@ -364,11 +363,56 @@ def test_q_gets_no_presentation_and_no_resolution_by_default(monkeypatch):
 
     counting("submodule_quotient", pipeline.submodule_quotient)
     counting("minimal_resolution", pipeline.minimal_resolution)
-    analyze(curve("z*y^2 - x^3 - z*x^2"))
-    assert calls == {"minimal_resolution": 3}
+    for entry in builtin_catalog():
+        for field in (F, QQ):
+            calls.clear()
+            analyze(entry.input_over(field))
+            assert calls == {"minimal_resolution": 3}, (entry.name, field)
     calls.clear()
     analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
     assert calls == {"minimal_resolution": 3, "submodule_quotient": 1}
+
+
+class _LosingLowestSyzygy(groebner.SubmoduleGB):
+    """J's syzygy run less its lowest-degree syzygy, which is a minimal
+    generator of AR: the rest generate a proper submodule."""
+
+    def __init__(self, gens, syzygies=False):
+        super().__init__(gens, syzygies)
+        lowest = min(self.syzygies, key=lambda e: e.degree())
+        self.syzygies = [e for e in self.syzygies if e is not lowest]
+
+
+def test_a_lost_minimal_syzygy_fails_the_hilbert_series_identity(monkeypatch, capsys):
+    from qcisyz import cli
+
+    monkeypatch.setattr(pipeline, "SubmoduleGB", _LosingLowestSyzygy)
+    inp = catalog_entry("lines-5")
+    with pytest.raises(InvariantError, match="Hilbert series of AR .* differs from 3 - t"):
+        analyze(inp.input_over(F))
+    assert cli.main(["analyze", "--curve", inp.texts[0]]) == 3
+    assert "Hilbert series of AR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["nodal-cubic", "two-conics", "lines-5"])
+def test_a_cut_set_that_falls_short_is_resolved_whole(name, monkeypatch):
+    """Forced fallback: the first resolution loses its top minimal
+    generator, so its table fails J's series and all of AR's syzygies are
+    resolved again. The record is unchanged, at one more resolution."""
+    inp = catalog_entry(name).input_over(F)
+    record = render_json(analysis_to_json(analyze(inp)))
+    real = pipeline.minimal_resolution
+    calls = []
+
+    def short_first(gens):
+        calls.append(gens)
+        if len(calls) == 1:
+            gens = linalg.minimal_generators(gens)[:-1]
+        return real(gens)
+
+    monkeypatch.setattr(pipeline, "minimal_resolution", short_first)
+    assert render_json(analysis_to_json(analyze(inp))) == record
+    assert len(calls) == 4
 
 
 def test_q_is_checked_against_the_staircases(monkeypatch):
