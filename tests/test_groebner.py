@@ -611,10 +611,13 @@ def test_packed_key_out_of_range_raises(keyfn, term):
 
 
 def _fixpoint_reduced_basis(gens, field, keys):
-    """Reference: Buchberger without criteria or degree order, whose basis
-    is then interreduced by the fixpoint loop `buchberger` used to run: each
-    element reduced by the already reduced ones, then by the later ones, in
-    that order, until a whole pass changes nothing."""
+    """Reference: Buchberger without criteria, whose basis is then
+    interreduced by the fixpoint loop `buchberger` used to run: each element
+    reduced by the already reduced ones, then by the later ones, in that
+    order, until a whole pass changes nothing. Pairs are taken lowest lcm
+    degree first: on these homogeneous inputs the basis then grows degree by
+    degree, where last-in-first-out order ran for minutes on a drawn set
+    over Q."""
     G, leads, pairs = [], [], []
 
     def add(terms):
@@ -628,7 +631,8 @@ def _fixpoint_reduced_basis(gens, field, keys):
         if terms:
             add(terms)
     while pairs:
-        i, j = pairs.pop()
+        i, j = min(pairs, key=lambda p: sum(mono_lcm(leads[p[0]][1], leads[p[1]][1])))
+        pairs.remove((i, j))
         L = mono_lcm(leads[i][1], leads[j][1])
         s = G[i].mono_shift(mono_div(L, leads[i][1]), field.one) - G[j].mono_shift(
             mono_div(L, leads[j][1]), field.one
@@ -685,8 +689,22 @@ def _generating_sets(draw):
     return field, ambient, gens
 
 
+# a drawn set on which the reference ran some 2500 times longer when it took
+# its pairs last in, first out
+_RANK_2 = FreeGradedModule((0, 1))
+_SLOW_LIFO = (QQ, _RANK_2, [
+    ModuleElement(_RANK_2, QQ, {t: Fraction(c) for t, c in terms.items()})
+    for terms in (
+        {(1, (0, 0, 1)): 3, (0, (0, 1, 1)): -4, (0, (0, 0, 2)): 5},
+        {(1, (1, 0, 0)): 7, (0, (0, 2, 0)): 1, (0, (2, 0, 0)): 1},
+        {(1, (2, 0, 0)): -2, (0, (3, 0, 0)): 6, (1, (1, 1, 0)): -7},
+    )
+])
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_generating_sets(), kind=st.sampled_from(["top_key", "block_elim_key"]))
+@example(case=_SLOW_LIFO, kind="top_key")
 def test_buchberger_interreduces_in_one_pass(case, kind):
     field, ambient, gens = case
     if not gens:
