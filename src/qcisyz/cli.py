@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from multiprocessing import Pool
 
@@ -109,7 +110,9 @@ def cmd_check(args) -> int:
 
 
 def _failure_incident(e) -> dict:
-    """An instance whose analysis raised, with the exit code it maps to."""
+    """An instance whose analysis raised, with the exit code it maps to and
+    the traceback of the exception being handled, which only the quarantine
+    record keeps."""
     code = EXIT_INPUT if isinstance(e, InputError) else EXIT_INTERNAL
     return {
         "id": f"exit-{code}",
@@ -117,6 +120,7 @@ def _failure_incident(e) -> dict:
         "exit_code": code,
         "error": type(e).__name__,
         "message": str(e),
+        "traceback": traceback.format_exc(),
     }
 
 

@@ -1,4 +1,7 @@
-"""Betti numbers of a finite-length module Q = I/J by Koszul homology.
+"""Betti numbers of a finite-length module Q = I/J by Koszul homology: the
+deep-check oracle for Q's Betti table, which `analyze` reads off the long
+exact Tor sequence of 0 -> J -> I -> Q -> 0 (`pipeline._h1_report`) and,
+under `deep_checks`, holds against `quotient_betti` (`pipeline._koszul_oracle`).
 
 For homogeneous ideals J in I of S = k[x, y, z] with I/J of finite length,
 

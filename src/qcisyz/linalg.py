@@ -2,16 +2,14 @@
 exact field, never via lead terms.
 
 `make_echelon` is the one eliminator. It selects minimal generators for the
-resolutions, spans and ranks the pieces and Koszul differentials of Q in
-`koszul`, finds the kernels of the tau_+ search, and runs the degree-wise
-Hilbert evaluator (`hilbert_function`, `submodule_dim`). The analysis takes
-its Hilbert values from series numerators instead; the evaluator is only the
-oracle that `pipeline.verify_hilbert_consistency` holds them against, under
-`analyze(..., deep_checks=True)`. That oracle stops calling `hilbert_function`
-for a presented module P once HF(P, t) = 0 with t at or past P's largest
-generator twist: past it every degree-(t+1) generator multiple is a variable
-times a degree-t one, so P_{t+1} = S_1 * P_t = 0 (graded Nakayama) and the
-zeros it derives are exact.
+resolutions, writes J's generators over Sigma's and ranks the images of J's
+syzygies for Q's Tor sequence (`cofactors`, `rank_modulo`), spans and ranks
+the pieces and Koszul differentials of Q in `koszul`, finds the kernels of
+the tau_+ search, and runs the degree-wise Hilbert evaluator
+(`hilbert_function`, `submodule_dim`). The analysis takes its Hilbert values
+from series numerators instead; the evaluator is only the oracle that
+`pipeline.verify_hilbert_consistency` holds them against, under
+`analyze(..., deep_checks=True)`.
 
 Over every field the rows are kept sparse, so a reduction step touches only
 a pivot row's nonzeros. A pivot row is stored as its tail, a list of
@@ -26,7 +24,8 @@ from __future__ import annotations
 import bisect
 from functools import lru_cache
 
-from .modules import PresentedModule
+from .errors import InvariantError
+from .modules import FreeGradedModule, ModuleElement, PresentedModule
 from .orders import grevlex_key, monomial_count
 
 
@@ -162,6 +161,44 @@ def submodule_dim(gens, twists, t: int) -> int:
     if not gens:
         return 0
     return _span(gens, twists, t, gens[0].field)[0].rank
+
+
+def rank_modulo(vecs, gens, twists, t: int) -> int:
+    """Rank of the degree-t elements vecs modulo the degree-t piece of the
+    submodule that gens generate."""
+    ech, index = _span(gens, twists, t, vecs[0].field)
+    base = ech.rank
+    for v in vecs:
+        ech.add(element_vector(v.terms, index))
+    return ech.rank - base
+
+
+def cofactors(targets, gens):
+    """Each target, a degree-t element of the submodule that gens generate,
+    written as sum_k c_k * gens[k]: (c_k) as a degree-t element of the free
+    module with the gens' degrees as twists. One elimination in degree t:
+    each monomial multiple m * gens[k] is a row tagged with its own column
+    (k, m) right of the degree-t basis, so reducing a target to zero there
+    leaves minus its cofactors in the tag columns."""
+    field = gens[0].field
+    t = targets[0].degree()
+    index = {b: i for i, b in enumerate(degree_basis(gens[0].ambient.twists, t))}
+    n = len(index)
+    tags = [(k, m) for k, g in enumerate(gens) for m in monomials_of_degree(t - g.degree())]
+    ech = make_echelon(field, n + len(tags))
+    for col, (k, m) in enumerate(tags, n):
+        row = element_vector(gens[k].mono_shift(m, field.one).terms, index)
+        row[col] = field.one
+        ech.add(row)
+    ambient = FreeGradedModule(tuple(g.degree() for g in gens))
+    out = []
+    for f in targets:
+        rest = ech.reduce(element_vector(f.terms, index))
+        if min(rest, default=n) < n:
+            raise InvariantError("an element to write over generators lies outside their span")
+        terms = {tags[col - n]: field.neg(c) for col, c in rest.items()}
+        out.append(ModuleElement(ambient, field, terms))
+    return out
 
 
 def minimal_generators(gens):

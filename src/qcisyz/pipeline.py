@@ -22,24 +22,25 @@ saturated compares the two bases.
 
 N is presented on its minimal generators, so its presentation has no
 constant entry and `minimal_resolution` resolves it as given (see
-`_z_report`). Q is neither presented nor resolved: its Betti numbers are
-the Koszul homology of Q inside S/J, on J's reduced basis (see
-`_h1_report` and `koszul`). Only the deep checks present Q, for the
-oracle.
+`_z_report`). Q is neither presented nor resolved: its Betti table is read
+off the long exact Tor sequence of 0 -> J -> I_sat -> Q -> 0, from the
+tables of J and Sigma and the ranks of the two maps from J's Tor to
+Sigma's (see `_h1_report`). Only the deep checks compute Q's Koszul
+homology over S/J (`koszul`), as the oracle that table must equal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import count, repeat
+from itertools import count
 from typing import Optional
 
 from .errors import InputError, InvariantError
 from .fields import PrimeField
-from .groebner import SubmoduleGB, saturate, submodule_quotient
+from .groebner import SubmoduleGB, saturate
 from .koszul import quotient_betti
-from .linalg import hilbert_function, minimal_generators, submodule_dim
+from .linalg import cofactors, hilbert_function, minimal_generators, rank_modulo, submodule_dim
 from .modules import (
     FreeGradedModule,
     ModuleElement,
@@ -48,7 +49,7 @@ from .modules import (
     poly_to_element,
 )
 from .orders import grevlex_key, hilbert_polynomial, monomial_count
-from .poly import Polynomial, partial_derivatives
+from .poly import Polynomial, add_terms, partial_derivatives
 from .resolution import (
     BettiTable,
     betti,
@@ -237,8 +238,8 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     m = len(exponents)
 
     # saturation and tau; J's generators come first, so each that is a
-    # minimal generator of Sigma is kept as itself: the others generate Q,
-    # and the deep checks present Q on them minimally
+    # minimal generator of Sigma is kept as itself: they count rk phi_0 of
+    # Q's Tor sequence, and the others generate Q for the Koszul oracle
     sigma_gb = saturate(sub)
     sigma_gens = [e.component(0) for e in minimal_generators(sub.gens + sigma_gb.basis)]
     tau = sigma_gb.colength()
@@ -266,7 +267,7 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     z = _z_report(ar_res, exponents, b, d, internals)
     if m == 2 and sigma_gb.basis != sub.basis:
         raise InvariantError("free case but the q.c.i. ideal is not saturated")
-    h1 = _h1_report(sigma_gens, sub, sigma_gb, exponents, b, d, m)
+    h1 = _h1_report(sub.gens, sigma_res, ar_res.generators, exponents, b, d, m)
 
     from .theorems import classify as _classify
 
@@ -297,7 +298,7 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
             "computed saturated-ideal Betti table not reachable from the mapping cone"
         )
     if deep_checks:
-        internals["q_pres"] = submodule_quotient(sigma_gens, sub.gens) if m > 2 else None
+        _koszul_oracle(analysis.h1.h1_betti, sub, sigma_gb, sigma_gens)
         verify_hilbert_consistency(analysis)
     return analysis
 
@@ -342,25 +343,58 @@ def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
     )
 
 
-def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m) -> H1Report:
-    """The finite-length module Q = I_sat / J by its Betti table, the Koszul
-    homology of Q over S/J (`koszul.quotient_betti`): Q gets no
-    presentation and no resolution. Q_t is spanned in (S/J)_t by the normal
-    forms modulo J's reduced basis (j_gb's) of I_sat's degree-t minimal
-    generators outside J and by x, y, z times Q_{t-1}, and its dimension is
-    checked at every degree against Q's definition: J's staircase numerator
-    less I_sat's (sigma_gb's). The table is checked against the predicted
-    four-term shape (generators at 2d-2-b_j, then 2d-2-d_i, d_i+d-1,
-    b_j+d-1), which is empty in the free case (m = 2), where J is saturated.
+def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
+    """The finite-length module Q = I_sat / J by its Betti table, read off
+    the long exact Tor sequence of 0 -> J -> I_sat -> Q -> 0 (Eisenbud, *The
+    Geometry of Syzygies*, GTM 229, ch. 1-2): Q gets no presentation and no
+    resolution. As pd I_sat = 1 and pd J = 2, with phi_i : Tor_i(J)_j ->
+    Tor_i(I_sat)_j, in each degree j
+
+        beta_0(Q)_j = beta_0(I_sat)_j - rk phi_0
+        beta_1(Q)_j = beta_1(I_sat)_j - rk phi_1 + beta_0(J)_j - rk phi_0
+        beta_2(Q)_j = beta_1(J)_j - rk phi_1
+        beta_3(Q)_j = beta_2(J)_j
+
+    J has its three generators j_gens in degree s = d - 1, its minimal
+    syzygies j_syz (AR's minimal generators) in the degrees d_i + s and its
+    second syzygies in the b_j + s. phi_0 lives in degree s: its rank is the
+    number of J's generators that stay minimal generators of I_sat
+    (`analyze` selects those first, so sigma_res keeps them as themselves).
+    rk phi_1 in degree d_i + s is the rank of the images of J's minimal
+    syzygies of degree d_i, pushed through cofactors of the f_k over I_sat's
+    minimal generators (one solve in degree s), modulo the monomial
+    multiples of I_sat's lower-degree minimal syzygies.
+    It is computed in every such degree: where I_sat has no minimal syzygy,
+    it checks that every image lies in the module those syzygies generate.
+
+    The table is checked against the predicted four-term shape (generators
+    at 2d-2-b_j, then 2d-2-d_i, d_i+d-1, b_j+d-1), which is empty in the
+    free case (m = 2), where J is saturated.
     """
-    j_gens = {e.component(0) for e in j_gb.gens}
-    series = Counter(j_gb.numerator)
-    series.subtract(sigma_gb.numerator)
-    q_b = quotient_betti(
-        [e.component(0) for e in j_gb.basis],
-        [g for g in sigma_gens if g not in j_gens],
-        {a: c for a, c in series.items() if c},
-    )
+    s = d - 1
+    field = j_gens[0].field
+    f0 = sigma_res.modules[0]
+    sigma_syz = sigma_res.differentials[0]
+    cof = cofactors(j_gens, sigma_res.generators)
+    rk0 = sum(g in j_gens for g in sigma_res.generators)
+    entries = Counter(betti(sigma_res).entries)
+    entries[(0, s)] -= rk0
+    entries[(1, s)] += len(j_gens) - rk0
+    for bj in b:
+        entries[(3, bj + s)] += 1
+    for di in sorted(set(exponents)):
+        images = []
+        for e in j_syz:
+            if e.degree() == di:
+                acc = {}
+                for (k, mono), c in e.terms.items():
+                    add_terms(field, acc, cof[k].mono_shift(mono, c).terms)
+                images.append(ModuleElement(f0, field, acc))
+        j = di + s
+        rk1 = rank_modulo(images, [z for z in sigma_syz if z.degree() < j], f0.twists, j)
+        entries[(1, j)] -= rk1
+        entries[(2, j)] += len(images) - rk1
+    q_b = BettiTable(entries)
     expected = BettiTable() if m == 2 else BettiTable.from_twists(
         [
             sorted(2 * d - 2 - bj for bj in b),
@@ -376,17 +410,24 @@ def _h1_report(sigma_gens, j_gb, sigma_gb, exponents, b, d, m) -> H1Report:
     return H1Report(generator_count=q_b.total_at(0), h1_betti=q_b)
 
 
-def _presented_values(P):
-    """HF(P, 0), HF(P, 1), ... of a presented module, endlessly. Once
-    HF(P, t) = 0 at a degree t at or past every generator's twist, each later
-    value is 0 with no elimination: there P_{t+1} = S_1 * P_t (graded
-    Nakayama), so the derived zeros are the exact values."""
-    top = max(P.generators.twists)
-    for t in count():
-        value = hilbert_function(P, t)
-        yield value
-        if value == 0 and t >= top:
-            yield from repeat(0)
+def _koszul_oracle(table, j_gb, sigma_gb, sigma_gens):
+    """Deep check of Q's table: Q's Betti numbers again, as the Koszul
+    homology of Q inside S/J on J's reduced basis (`koszul.quotient_betti`),
+    where Q_t is spanned by the normal forms of I_sat's degree-t minimal
+    generators outside J and by x, y, z times Q_{t-1}. Each dim Q_t is held
+    there against J's staircase numerator less I_sat's."""
+    j_polys = {e.component(0) for e in j_gb.gens}
+    series = Counter(j_gb.numerator)
+    series.subtract(sigma_gb.numerator)
+    koszul = quotient_betti(
+        [e.component(0) for e in j_gb.basis],
+        [g for g in sigma_gens if g not in j_polys],
+        {a: c for a, c in series.items() if c},
+    )
+    if koszul != table:
+        raise InvariantError(
+            f"Betti table of I_sat/J {table!r} differs from its Koszul homology {koszul!r}"
+        )
 
 
 def _hilbert_agree(table, label, values, rhs):
@@ -401,16 +442,9 @@ def _hilbert_agree(table, label, values, rhs):
 def verify_hilbert_consistency(analysis: QciAnalysis):
     """Oracle redundancy: the degree-wise linear-algebra Hilbert evaluator
     must agree with the alternating sum of each computed Betti table at
-    every degree up to three times its largest twist. Q's is held against
-    its presentation `q_pres`, which `analyze` builds only for this oracle
-    (Groebner presentation and Macaulay matrices on one side, Koszul
-    homology on the other).
-
-    The presented modules S/I_sigma, N and Q are evaluated until they
-    vanish at or past their largest generator twist; from there on their
-    value is 0 by graded Nakayama (`_presented_values`), exactly, and is
-    still compared at every degree. Q, of finite length, is the one that
-    vanishes; AR never does and is eliminated at every degree."""
+    every degree up to three times its largest twist: S/I_sigma and N as
+    presented modules, AR as the span of its generators. Q is not swept:
+    its table is held against its Koszul homology (`_koszul_oracle`)."""
     internals = analysis.internals
 
     # S / I_sigma as a presented module
@@ -420,7 +454,7 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
     _hilbert_agree(
         sigma_betti,
         "S/I_sigma",
-        _presented_values(s_over_i),
+        (hilbert_function(s_over_i, t) for t in count()),
         lambda t: monomial_count(t) - resolution_hilbert_function(sigma_betti, t),
     )
 
@@ -433,14 +467,10 @@ def verify_hilbert_consistency(analysis: QciAnalysis):
         lambda t: resolution_hilbert_function(analysis.ar_betti, t),
     )
 
-    for pres, table, label in (
-        (internals.get("n_pres"), analysis.z.z_betti, "AR/S*rho1"),
-        (internals.get("q_pres"), analysis.h1.h1_betti, "I_sat/J"),
-    ):
-        if pres is not None:
-            _hilbert_agree(
-                table,
-                label,
-                _presented_values(pres),
-                lambda t: resolution_hilbert_function(table, t),
-            )
+    n_betti = analysis.z.z_betti
+    _hilbert_agree(
+        n_betti,
+        "AR/S*rho1",
+        (hilbert_function(internals["n_pres"], t) for t in count()),
+        lambda t: resolution_hilbert_function(n_betti, t),
+    )

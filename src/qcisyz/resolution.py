@@ -101,12 +101,15 @@ class GradedResolution:
     """Chain F_0 <- F_1 <- ... with differentials given column-wise.
 
     differentials[k] lists the columns of F_{k+1} -> F_k as homogeneous
-    elements of the free module F_k.
+    elements of the free module F_k. generators, for a resolved submodule,
+    lists the minimal generators that F_0's basis maps to, in F_0's order;
+    it is None for a presented module.
     """
 
-    def __init__(self, modules, differentials):
+    def __init__(self, modules, differentials, generators=None):
         self.modules = list(modules)
         self.differentials = [list(d) for d in differentials]
+        self.generators = generators
         self._validate()
 
     def _validate(self):
@@ -174,7 +177,9 @@ def minimal_resolution(X) -> GradedResolution:
 
     Accepts a list of homogeneous polynomials (ideal generators), a list of
     module elements (submodule generators), or a PresentedModule with a
-    minimal presentation: one whose relations have no constant entry.
+    minimal presentation: one whose relations have no constant entry. A
+    submodule's resolution hands back the minimal generators it selected
+    (`generators`), as module elements.
     """
     if isinstance(X, PresentedModule):
         if not X.relations:
@@ -190,7 +195,7 @@ def minimal_resolution(X) -> GradedResolution:
         amb = FreeGradedModule((0,))
         gens = [poly_to_element(g, amb) for g in gens]
     modules, steps = _resolve_from(gens)
-    return GradedResolution(modules, steps[1:])
+    return GradedResolution(modules, steps[1:], steps[0])
 
 
 def hilbert_series(table: BettiTable):

@@ -282,6 +282,7 @@ def _fuzz_with_a_raising_instance(tmp_path, capsys, monkeypatch, error, code, *f
     assert record["incident"]["exit_code"] == code
     assert record["incident"]["error"] == error.__name__
     assert record["incident"]["message"] == "injected failure"
+    return record
 
 
 @pytest.mark.parametrize(
@@ -294,9 +295,13 @@ def test_fuzz_quarantines_an_instance_that_raises(tmp_path, capsys, monkeypatch,
 def test_fuzz_quarantines_an_unexpected_exception_in_a_worker(tmp_path, capsys, monkeypatch):
     # two workers even on one CPU: the instance raises inside a pool process
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    _fuzz_with_a_raising_instance(
+    record = _fuzz_with_a_raising_instance(
         tmp_path, capsys, monkeypatch, ZeroDivisionError, 3, "--jobs", "2"
     )
+    # the quarantine record keeps the traceback, down to the raising function
+    trace = record["incident"]["traceback"]
+    assert trace.startswith("Traceback") and ", in flaky\n" in trace
+    assert trace.endswith("ZeroDivisionError: injected failure\n")
 
 
 def test_unexpected_exception_exits_3_without_a_traceback(capsys, monkeypatch):

@@ -1,11 +1,17 @@
-"""`linalg`'s sparse echelon against a textbook dense elimination."""
+"""`linalg`'s sparse echelon against a textbook dense elimination, and the
+cofactor solve built on it."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcisyz.errors import InvariantError
 from qcisyz.fields import QQ, PrimeField
-from qcisyz.linalg import make_echelon
+from qcisyz.linalg import cofactors, make_echelon
+from qcisyz.modules import poly_to_element
+from qcisyz.parsing import parse_polynomial
+from qcisyz.poly import add_terms
 
 FIELDS = [PrimeField(7), PrimeField(32003), QQ]
 
@@ -94,3 +100,20 @@ def test_a_column_that_vanishes_only_mod_p_is_no_pivot():
     assert ech.reduce({0: 1 + 6 * 7, 1: 2, 2: 1}) == {2: 1}
     assert ech.add({0: 6, 1: 5, 2: 3})
     assert ech.rows() == [{0: 1, 1: 2}, {2: 1}]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["GF7", "GF32003", "QQ"])
+def test_cofactors_write_each_target_over_the_generators(field):
+    """x^2*y - 2*y^3 and y*z^2 over x^2 - y^2 (degree 2) and y*z (degree 2)
+    and y (degree 1): sum c_k * g_k gives back each target, and z^3, outside
+    the ideal, is refused."""
+    gens = [poly_to_element(parse_polynomial(t, field)) for t in ("x^2 - y^2", "y*z", "y")]
+    targets = [poly_to_element(parse_polynomial(t, field)) for t in ("x^2*y - 2*y^3", "y*z^2")]
+    for target, cof in zip(targets, cofactors(targets, gens)):
+        assert cof.ambient.twists == (2, 2, 1) and cof.degree() == 3
+        acc = {}
+        for k, g in enumerate(gens):
+            add_terms(field, acc, g.poly_mul(cof.component(k)).terms)
+        assert acc == target.terms
+    with pytest.raises(InvariantError, match="outside their span"):
+        cofactors([poly_to_element(parse_polynomial("z^3", field))], gens)

@@ -4,11 +4,11 @@
 `src/` breaks only the traced run, so each workload is traced once at its
 self-test size. Its work counters repeat exactly from run to run, so they
 also gate the work per operation: each ideal and module gets one basis, Q
-none, and saturation rejects a line with no basis (7 Buchberger runs, 8
-where the deep checks present Q for the oracle of `oracle-fp`, and 50 basis
-elements on these inputs), and that oracle
-adds at most 900 echelon rows in at most 21 `hilbert_function` calls: it
-stops eliminating a presented module once the module has vanished.
+none, not even under the deep checks, and saturation rejects a line with no
+basis (7 Buchberger runs on every workload and 50 basis elements on these
+inputs). The deep checks of `oracle-fp` add at most 900 echelon rows, Q's
+Koszul oracle included, in at most 17 `hilbert_function` calls: S/I_sigma
+and N are evaluated, Q is not.
 """
 
 import json
@@ -32,10 +32,10 @@ def test_traced_benchmark_runs(workload):
     assert result["failed"] == 0 and result["attempted"] > 0
     metrics = result["metrics"]
     assert "linalg.hilbert_function_calls" in metrics
-    assert metrics["groebner.buchberger_calls"]["value"] <= (8 if workload == "oracle-fp" else 7)
+    assert metrics["groebner.buchberger_calls"]["value"] <= 7
     assert metrics["groebner.basis_elements"]["value"] <= 50
     if workload == "oracle-fp":
-        # the deep checks evaluate the minimal presentations of N and Q, and
-        # no degree where Q has vanished (graded Nakayama)
+        # the deep checks evaluate the presentations of S/I_sigma and N, and
+        # take Q's table by Koszul homology
         assert metrics["linalg.echelon_rows"]["value"] <= 900
-        assert metrics["linalg.hilbert_function_calls"]["value"] <= 21
+        assert metrics["linalg.hilbert_function_calls"]["value"] <= 17

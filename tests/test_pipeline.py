@@ -19,6 +19,7 @@ from qcisyz.pipeline import (
     jacobian_ideal,
     verify_hilbert_consistency,
 )
+from qcisyz.poly import Polynomial
 from qcisyz.report import analysis_to_json, render_json
 from qcisyz.resolution import BettiTable, betti, hilbert_series, minimal_resolution
 
@@ -199,10 +200,9 @@ def test_default_path_runs_no_degreewise_hilbert_evaluator(monkeypatch):
 
 
 def test_oracle_values_equal_the_evaluator_at_every_degree(monkeypatch):
-    """The oracle stops eliminating a presented module once it vanishes at
-    or past its largest generator twist (graded Nakayama). The values it
-    compares, derived zeros included, are hilbert_function's at every
-    degree up to three times the largest twist; Q's are derived."""
+    """The oracle sweeps S/I_sigma, AR and N, not Q: the values it compares
+    for the two presented modules are hilbert_function's at every degree up
+    to three times the largest twist, one evaluation per degree."""
     real = pipeline._hilbert_agree
     seen, calls = {}, Counter()
 
@@ -225,30 +225,34 @@ def test_oracle_values_equal_the_evaluator_at_every_degree(monkeypatch):
         seen.clear()
         calls.clear()
         a = analyze(inp, deep_checks=True)
+        assert set(seen) == {"S/I_sigma", "AR", "AR/S*rho1"}
         s_over_i = PresentedModule(amb, [poly_to_element(g, amb) for g in a.internals["sigma_gens"]])
-        q_pres = a.internals["q_pres"]
-        for label, pres in (
-            ("S/I_sigma", s_over_i),
-            ("AR/S*rho1", a.internals["n_pres"]),
-            ("I_sat/J", q_pres),
-        ):
+        for label, pres in (("S/I_sigma", s_over_i), ("AR/S*rho1", a.internals["n_pres"])):
             values = seen[label]
             assert values == [linalg.hilbert_function(pres, t) for t in range(len(values))]
-        assert calls[id(q_pres)] < len(seen["I_sat/J"])
+        assert sorted(calls.values()) == sorted(len(seen[k]) for k in ("S/I_sigma", "AR/S*rho1"))
 
 
-def test_oracle_refuses_a_table_wrong_where_q_has_vanished():
-    """An extra generator of Q's table at its largest twist T makes the
-    table's alternating sum nonzero from degree T on, where Q has vanished
-    and the oracle derives its values instead of eliminating."""
-    a = analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
-    table = a.h1.h1_betti
-    top = pipeline._max_twist(table)
-    entries = Counter(table.entries)
-    entries[(0, top)] += 1
-    a.h1.h1_betti = BettiTable(entries)
-    with pytest.raises(InvariantError, match=f"I_sat/J at degree {top}: 0 != 1"):
-        verify_hilbert_consistency(a)
+def test_oracle_refuses_a_table_wrong_where_q_has_vanished(monkeypatch):
+    """An extra generator of Q's table at its largest twist T, where Q has
+    vanished, gets past the shape check (made on the table before the extra
+    entry) and is refused by the Koszul oracle of the deep checks."""
+    real = pipeline._h1_report
+    tops = []
+
+    def extra_generator(*args):
+        h1 = real(*args)
+        tops.append(pipeline._max_twist(h1.h1_betti))
+        entries = Counter(h1.h1_betti.entries)
+        entries[(0, tops[-1])] += 1
+        h1.h1_betti = BettiTable(entries)
+        return h1
+
+    monkeypatch.setattr(pipeline, "_h1_report", extra_generator)
+    inp = curve("z*y^2 - x^3 - z*x^2")
+    assert analyze(inp).h1.h1_betti.entries[(0, tops[-1])] == 1
+    with pytest.raises(InvariantError, match="I_sat/J .* differs from its Koszul homology"):
+        analyze(inp, deep_checks=True)
 
 
 def test_analyze_computes_each_reduced_basis_once(monkeypatch):
@@ -299,22 +303,17 @@ def test_a_wrongly_accepted_line_is_caught_by_the_tau_check(name, monkeypatch):
 
 
 def test_n_and_q_are_presented_minimally(monkeypatch):
-    """N on rho_2..rho_m and Q on Sigma's minimal generators outside J: no
-    relation has a constant entry, and the generators are as many as the
-    first column of the Betti table. Q is presented only for the deep
-    checks' oracle, whose degree sweep this test leaves out."""
+    """N on rho_2..rho_m: no relation has a constant entry, and the
+    generators are as many as the first column of the Betti table. Q is
+    presented nowhere, not even for the deep checks' oracle, whose degree
+    sweep this test leaves out."""
     monkeypatch.setattr(pipeline, "verify_hilbert_consistency", lambda analysis: None)
     for inp in _presentation_inputs():
         a = analyze(inp, deep_checks=True)
-        for pres, table in (
-            (a.internals["n_pres"], a.z.z_betti),
-            (a.internals["q_pres"], a.h1.h1_betti),
-        ):
-            if pres is None:  # Q in the free case
-                assert a.m == 2 and table.total_at(0) == 0
-                continue
-            assert all(sum(m) > 0 for r in pres.relations for _, m in r.terms)
-            assert pres.generators.rank == table.total_at(0)
+        pres = a.internals["n_pres"]
+        assert all(sum(m) > 0 for r in pres.relations for _, m in r.terms)
+        assert pres.generators.rank == a.z.z_betti.total_at(0)
+        assert "q_pres" not in a.internals
 
 
 def _j_generators(inp):
@@ -348,21 +347,26 @@ def test_koszul_table_of_q_equals_its_resolution(first, second):
 
 
 def test_q_gets_no_presentation_and_no_resolution_by_default(monkeypatch):
-    """The default path resolves AR, Sigma and N once each and never
-    presents Q; only the deep checks' oracle presents it. On every catalog
-    curve, over both fields, AR's syzygies up to the top positive degree of
-    the series J's staircase fixes generate AR: the full rerun never fires."""
+    """The default path resolves AR, Sigma and N once each, and neither
+    presents Q nor computes its Koszul homology; the deep checks add one
+    Koszul table of Q, its oracle, and still no presentation. On every
+    catalog curve, over both fields, AR's syzygies up to the top positive
+    degree of the series J's staircase fixes generate AR: the full rerun
+    never fires."""
     calls = Counter()
 
-    def counting(name, fn):
+    def counting(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counting("submodule_quotient", pipeline.submodule_quotient)
-    counting("minimal_resolution", pipeline.minimal_resolution)
+    counting(groebner, "submodule_quotient")
+    counting(pipeline, "quotient_betti")
+    counting(pipeline, "minimal_resolution")
     for entry in builtin_catalog():
         for field in (F, QQ):
             calls.clear()
@@ -370,7 +374,72 @@ def test_q_gets_no_presentation_and_no_resolution_by_default(monkeypatch):
             assert calls == {"minimal_resolution": 3}, (entry.name, field)
     calls.clear()
     analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
-    assert calls == {"minimal_resolution": 3, "submodule_quotient": 1}
+    assert calls == {"minimal_resolution": 3, "quotient_betti": 1}
+
+
+def _tor_ranks(a):
+    """rk phi_0 and the sum over degrees of rk phi_1 in Q's Tor sequence,
+    read back from the tables: beta_0(Q)_s = beta_0(I_sat)_s - rk phi_0 and
+    the beta_2(Q)_j sum to m less the ranks of phi_1."""
+    rk0 = a.sigma_betti.entries[(0, a.s)] - a.h1.h1_betti.entries[(0, a.s)]
+    return rk0, a.m - a.h1.h1_betti.total_at(2)
+
+
+def _tor_inputs(field):
+    for entry in builtin_catalog():
+        if not (field.kind == "fp" and field.prime == 7 and entry.name == "lines-6"):
+            yield entry.name, entry.input_over(field)  # over GF(7) every line meets lines-6's nodes
+    for s in (2, 3) if field is QQ else (2, 3, 4, 5):
+        for seed in (0, 1):
+            yield f"s{s}-seed{seed}", random_qci(s, field, seed)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), F, QQ], ids=["GF7", "GF32003", "QQ"])
+def test_tor_sequence_table_equals_the_koszul_table(field, monkeypatch):
+    """Q's table off the long exact Tor sequence equals its Koszul homology
+    over S/J, on the catalog and on random draws, with rk phi_0 in {0, 1, 3}
+    (cubic-plus-line gives 1, the line arrangements 3) and, on the free
+    triangle, rk phi_0 = 3 and rk phi_1 = 2, where Q = 0."""
+    monkeypatch.setattr(pipeline, "verify_hilbert_consistency", lambda analysis: None)
+    real = pipeline.quotient_betti
+    koszul = []
+
+    def recording(*args):
+        koszul.append(real(*args))
+        return koszul[-1]
+
+    monkeypatch.setattr(pipeline, "quotient_betti", recording)
+    ranks = {}
+    for name, inp in _tor_inputs(field):
+        koszul.clear()
+        a = analyze(inp, deep_checks=True)
+        assert koszul == [a.h1.h1_betti], name
+        ranks[name] = _tor_ranks(a)
+    assert {rk0 for rk0, _ in ranks.values()} >= {0, 1, 3}
+    assert ranks["triangle"] == (3, 2)
+
+
+@pytest.mark.parametrize("name", ["nodal-cubic", "cubic-plus-line", "lines-5"])
+def test_a_lost_sigma_syzygy_fails_the_q_shape(name, monkeypatch, capsys):
+    """With one minimal syzygy of Sigma too few, some image of J's syzygies
+    falls outside the module the rest generate: rk phi_1 > 0 breaks Q's
+    four-term shape, and the CLI exits 3."""
+    from qcisyz import cli
+
+    real = pipeline.minimal_resolution
+
+    def short(X):
+        res = real(X)
+        if isinstance(X, list) and isinstance(X[0], Polynomial):  # Sigma's
+            res.differentials[0] = res.differentials[0][:-1]
+        return res
+
+    monkeypatch.setattr(pipeline, "minimal_resolution", short)
+    inp = catalog_entry(name)
+    with pytest.raises(InvariantError, match="Betti table of I_sat/J .* differs from the predicted shape"):
+        analyze(inp.input_over(F))
+    assert cli.main(["analyze", "--curve", inp.texts[0]]) == 3
+    assert "differs from the predicted shape" in capsys.readouterr().err
 
 
 class _LosingLowestSyzygy(groebner.SubmoduleGB):
@@ -416,13 +485,15 @@ def test_a_cut_set_that_falls_short_is_resolved_whole(name, monkeypatch):
 
 
 def test_q_is_checked_against_the_staircases(monkeypatch):
-    """Each dimension of Q is held against J's staircase numerator less
-    Sigma's: a shifted numerator is refused."""
+    """Under the deep checks, each dimension of Q in its Koszul oracle is
+    held against J's staircase numerator less Sigma's: a shifted numerator
+    is refused. The default path computes no Koszul table to shift."""
     real = pipeline.quotient_betti
 
     def shifted(basis, gens, numerator):
         return real(basis, gens, {a + 1: c for a, c in numerator.items()})
 
     monkeypatch.setattr(pipeline, "quotient_betti", shifted)
+    analyze(curve("z*y^2 - x^3 - z*x^2"))
     with pytest.raises(pipeline.InvariantError, match="staircases"):
-        analyze(curve("z*y^2 - x^3 - z*x^2"))
+        analyze(curve("z*y^2 - x^3 - z*x^2"), deep_checks=True)
