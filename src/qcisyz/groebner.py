@@ -1,9 +1,9 @@
 """Buchberger's algorithm for ideals and submodules of free graded modules.
 
 Everything is computed on module elements; an ideal is the rank-one case.
-Syzygies, membership certificates and Groebner bases come out of a single
-run on the block module F + S^r with generators g_i + e_i, under an order
-in which every F-term beats every bookkeeping term.
+Syzygies and Groebner bases come out of a single run on the block module
+F + S^r with generators g_i + e_i, under an order in which every F-term
+beats every bookkeeping term.
 
 The reduction kernel works on packed integer order keys (`TermKeys`), in
 the manner of Monagan and Pearce's packed-exponent heap division (CASC
@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, InvariantError
+from .linalg import cofactors
 from .modules import FreeGradedModule, ModuleElement, drop_generators, poly_to_element
 from .orders import (
     block_elim_key,
@@ -340,8 +341,8 @@ class SubmoduleGB:
     """Groebner data for a submodule given by generators.
 
     With syzygies=True the block computation also yields generators of the
-    syzygy module of the input generators (`syzygies`) and membership
-    certificates (`representation`); without it, neither is available.
+    syzygy module of the input generators (`syzygies`); without it, they
+    are not available.
     """
 
     def __init__(self, gens, syzygies=False):
@@ -387,8 +388,6 @@ class SubmoduleGB:
             else:
                 epart = {(p - k, m): c for (p, m), c in e.terms.items()}
                 syz.append(ModuleElement(self.syz_ambient, field, epart))
-        self._block = basis
-        self._block_split = k
         self.syzygies = syz
         self._plain = RawBasis(self.ambient, self.field, self.keyfn, gb, gb_leads)
 
@@ -406,21 +405,6 @@ class SubmoduleGB:
         if v.ambient != self.ambient:
             raise ValueError("ambient module mismatch")
         return self._plain.normal_form(v)
-
-    def representation(self, v) -> ModuleElement:
-        """Cofactors a with v = sum a_i * gens_i; raises if v not a member."""
-        if isinstance(v, Polynomial):
-            v = poly_to_element(v, self.ambient)
-        big = FreeGradedModule(self.ambient.twists + self.gen_degrees)
-        e = ModuleElement(big, self.field, dict(v.terms))
-        nf = self._block.normal_form(e)
-        k = self._block_split
-        if any(p < k for p, _ in nf.terms):
-            raise ValueError("element is not in the submodule")
-        rep = {
-            (p - k, m): self.field.neg(c) for (p, m), c in nf.terms.items()
-        }
-        return ModuleElement(self.syz_ambient, self.field, rep)
 
     # --- rank-one (ideal) staircase utilities ---------------------------
 
@@ -498,16 +482,26 @@ def submodule_quotient(M, N):
 
     A position of M that holds an element of N is zero in the quotient and is
     dropped. The relations are the syzygies of M and the expressions of the
-    other elements of N in terms of M, less their entries at the dropped
-    positions; raises ValueError if some element of N is not in <M>. When M
-    is a minimal generating set of <M> in which the elements of N it holds
-    span <N> modulo the maximal ideal times <M>, no relation has a constant
-    entry: the presentation is minimal (graded Nakayama).
+    other elements of N in terms of M (`linalg.cofactors`, one solve per
+    degree), less their entries at the dropped positions; raises ValueError
+    if some element of N is not in <M>. When M is a minimal generating set
+    of <M> in which the elements of N it holds span <N> modulo the maximal
+    ideal times <M>, no relation has a constant entry: the presentation is
+    minimal (graded Nakayama).
     """
     sub = SubmoduleGB(M, syzygies=True)
     n_elems, _ = _as_elements(list(N))
     in_m, in_n = set(sub.gens), set(n_elems)
-    relations = sub.syzygies + [sub.representation(n) for n in n_elems if n not in in_m]
+    by_degree = {}
+    for n in n_elems:
+        if n not in in_m:
+            by_degree.setdefault(n.degree(), []).append(n)
+    relations = list(sub.syzygies)
+    for targets in by_degree.values():
+        try:
+            relations += cofactors(targets, sub.gens)
+        except InvariantError as exc:
+            raise ValueError("an element of N is not in <M>") from exc
     dropped = {i for i, g in enumerate(sub.gens) if g in in_n}
     return drop_generators(sub.syz_ambient, relations, dropped)
 

@@ -3,7 +3,8 @@ exact field, never via lead terms.
 
 `make_echelon` is the one eliminator. It selects minimal generators for the
 resolutions, writes J's generators over Sigma's and ranks the images of J's
-syzygies for Q's Tor sequence (`cofactors`, `rank_modulo`), spans and ranks
+syzygies for Q's Tor sequence (`cofactors`, `rank_modulo`; `cofactors` also
+writes N over M in `groebner.submodule_quotient`), spans and ranks
 the pieces and Koszul differentials of Q in `koszul`, finds the kernels of
 the tau_+ search, and runs the degree-wise Hilbert evaluator
 (`hilbert_function`, `submodule_dim`). The analysis takes its Hilbert values

@@ -237,18 +237,19 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     b = tuple(ar_res.modules[1].twists) if ar_res.length >= 1 else ()
     m = len(exponents)
 
-    # saturation and tau; J's generators come first, so each that is a
-    # minimal generator of Sigma is kept as itself: they count rk phi_0 of
-    # Q's Tor sequence, and the others generate Q for the Koszul oracle
+    # saturation and tau
     sigma_gb = saturate(sub)
-    sigma_gens = [e.component(0) for e in minimal_generators(sub.gens + sigma_gb.basis)]
     tau = sigma_gb.colength()
     if tau != gb_colength:
         raise InvariantError("eventual Hilbert values of J and its saturation differ")
     if tau < 1:
         raise InvariantError("saturation lost the subscheme")
 
-    sigma_res = minimal_resolution(sigma_gens)
+    # J's generators come first, so each that is a minimal generator of
+    # Sigma is kept as itself: they count rk phi_0 of Q's Tor sequence, and
+    # the others generate Q for the Koszul oracle
+    sigma_res = minimal_resolution(gens + [e.component(0) for e in sigma_gb.basis])
+    sigma_gens = [e.component(0) for e in sigma_res.generators]
     sigma_betti_table = betti(sigma_res)
     sigma_is_ci = sigma_betti_table.total_at(0) == 2
 
@@ -412,15 +413,16 @@ def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
 
 def _koszul_oracle(table, j_gb, sigma_gb, sigma_gens):
     """Deep check of Q's table: Q's Betti numbers again, as the Koszul
-    homology of Q inside S/J on J's reduced basis (`koszul.quotient_betti`),
-    where Q_t is spanned by the normal forms of I_sat's degree-t minimal
-    generators outside J and by x, y, z times Q_{t-1}. Each dim Q_t is held
-    there against J's staircase numerator less I_sat's."""
+    homology of Q inside S/J, read through the normal forms of J's Groebner
+    basis j_gb (`koszul.quotient_betti`), where Q_t is spanned by the normal
+    forms of I_sat's degree-t minimal generators outside J and by x, y, z
+    times Q_{t-1}. Each dim Q_t is held there against J's staircase
+    numerator less I_sat's."""
     j_polys = {e.component(0) for e in j_gb.gens}
     series = Counter(j_gb.numerator)
     series.subtract(sigma_gb.numerator)
     koszul = quotient_betti(
-        [e.component(0) for e in j_gb.basis],
+        j_gb,
         [g for g in sigma_gens if g not in j_polys],
         {a: c for a, c in series.items() if c},
     )

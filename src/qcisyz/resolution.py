@@ -222,12 +222,9 @@ def predicted_sigma_tables(exponents, b, d: int):
     (three copies), relations at 2d-2-d_i.  A degree-(d-1) generator may
     cancel only against a relation coming from an exponent d_i = d-1; no
     generator coming from a b_j may cancel.  Returns the list of tables for
-    every admissible number of cancellations (0 included).
+    every admissible number of cancellations (0 included). The d_i less the
+    b_j sum to d - 1: `analyze` holds AR's Hilbert series to that first.
     """
-    exponents = sorted(exponents)
-    b = sorted(b)
-    if sum(exponents) - sum(b) != d - 1:
-        raise ValueError("inconsistent exponent data: the d_i less the b_j do not sum to d-1")
     gens = Counter({d - 1: 3})
     for bj in b:
         gens[2 * d - 2 - bj] += 1

@@ -334,17 +334,6 @@ def test_staircase_values_match_standard_monomial_count(first, second):
     assert (expected is None) == any(all(m[i] for m in first) for i in range(3))
 
 
-def test_representation_recovers_membership():
-    gens = polys(["x^2", "y^2"])
-    gb = SubmoduleGB(gens, syzygies=True)
-    f = parse_polynomial("x^3 + x*y^2", F)
-    rep = gb.representation(poly_to_element(f, gb.ambient))
-    acc = Polynomial.zero(F)
-    for i, g in enumerate(gens):
-        acc = acc + rep.component(i) * g
-    assert acc == f
-
-
 def test_groebner_over_rationals():
     gb = groebner_basis(polys(["x^2 - y*z", "x*y - z^2"], QQ))
     assert gb.normal_form(
@@ -419,8 +408,17 @@ def _dense_element(ambient, field, degree, rng):
 def test_kernel_evaluates_each_order_key_once(syz):
     # a jacobian-like syzygy computation at s = 5, the heaviest corpus degree
     J = list(random_qci(5, F, 0).polys)
-    gb = SubmoduleGB(J, syzygies=syz)
-    basis = gb._block if syz else gb._plain
+    if syz:
+        # the block run of J's syzygy GB: g_i + e_i under the elimination order
+        big = FreeGradedModule((0, 5, 5, 5))
+        hs = []
+        for i, g in enumerate(J):
+            terms = poly_to_element(g).terms
+            terms[(1 + i, (0, 0, 0))] = F.one
+            hs.append(ModuleElement(big, F, terms))
+        basis = buchberger(hs, big, F, block_elim_key(1))
+    else:
+        basis = SubmoduleGB(J)._plain
     calls = [0]
 
     def counting(t):

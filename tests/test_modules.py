@@ -98,13 +98,16 @@ def test_minimal_generators_deterministic():
 
 
 def test_submodule_quotient_presents_quotient_ring_piece():
-    # (x, y) / (x^2, xy, y^2, ...) : quotient of the maximal ideal
+    # (x, y) / (x^2, xy, y^2, ...) : quotient of the maximal ideal, generated
+    # by x, y in degree 1. With y*z, everything in degree >= 2 is killed; the
+    # second N, whose elements outside M lie in degrees 2 and 3, keeps y*z
     M = polys(["x", "y"])
-    N = polys(["x^2", "x*y", "y^2", "x*z", "y*z"])
-    P = submodule_quotient(M, N)
-    # generated by x, y in degree 1, everything in degree >= 2 killed
-    assert hilbert_function(P, 1) == 2
-    assert hilbert_function(P, 2) == 0
+    for N, values in (
+        (["x^2", "x*y", "y^2", "x*z", "y*z"], [0, 2, 0, 0]),
+        (["x^2", "x*y", "y^2", "x*z", "y*z^2"], [0, 2, 1, 0]),
+    ):
+        P = submodule_quotient(M, polys(N))
+        assert [hilbert_function(P, t) for t in range(4)] == values
 
 
 def test_submodule_quotient_drops_positions_holding_elements_of_n():

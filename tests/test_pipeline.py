@@ -490,8 +490,8 @@ def test_q_is_checked_against_the_staircases(monkeypatch):
     is refused. The default path computes no Koszul table to shift."""
     real = pipeline.quotient_betti
 
-    def shifted(basis, gens, numerator):
-        return real(basis, gens, {a + 1: c for a, c in numerator.items()})
+    def shifted(j_gb, gens, numerator):
+        return real(j_gb, gens, {a + 1: c for a, c in numerator.items()})
 
     monkeypatch.setattr(pipeline, "quotient_betti", shifted)
     analyze(curve("z*y^2 - x^3 - z*x^2"))

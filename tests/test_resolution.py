@@ -125,11 +125,6 @@ def test_predicted_sigma_free_case_no_b_cancellation():
     assert tables == [BettiTable({(0, 2): 3, (1, 3): 2})]
 
 
-def test_predicted_sigma_rejects_inconsistent_data():
-    with pytest.raises(ValueError):
-        predicted_sigma_tables((2, 2), (4,), 4)
-
-
 def test_resolution_length_cap():
     # finite-length quotient: projective dimension exactly 3 in 3 variables
     amb = FreeGradedModule((0,))
