@@ -1,9 +1,11 @@
 """Buchberger's algorithm for ideals and submodules of free graded modules.
 
 Everything is computed on module elements; an ideal is the rank-one case.
-Syzygies and Groebner bases come out of a single run on the block module
-F + S^r with generators g_i + e_i, under an order in which every F-term
-beats every bookkeeping term.
+A plain run (`SubmoduleGB`) returns the reduced basis. Syzygies come from a
+separate run on the block module F + S^r with generators g_i + e_i, under
+an order in which every F-term beats every bookkeeping term (`syzygies`):
+its F-part is discarded, nothing in it is interreduced, and it may stop at
+a degree cap, as a Groebner basis truncated there.
 
 The reduction kernel works on packed integer order keys (`TermKeys`), in
 the manner of Monagan and Pearce's packed-exponent heap division (CASC
@@ -208,7 +210,8 @@ def _reduce(pending, field, by_pos, keys, den=1):
 
 
 class RawBasis:
-    """A monic interreduced Groebner basis of a submodule, with its order.
+    """A monic Groebner basis of a submodule, with its order: reduced, as
+    `buchberger` returns it unless told otherwise.
 
     leads[i] is the lead term of elements[i]; keys memoizes the order keys
     (computed from keyfn when not given).
@@ -231,13 +234,19 @@ class RawBasis:
         return ModuleElement(e.ambient, self.field, terms)
 
 
-def buchberger(gens, ambient, field, keyfn) -> RawBasis:
-    """Reduced Groebner basis; normal (min-degree-first) pair selection.
+def buchberger(gens, ambient, field, keyfn, max_degree=None, reduced=True) -> RawBasis:
+    """Groebner basis; normal (min-degree-first) pair selection.
 
     Buchberger's product criterion is used for ideals (rank-one ambient),
     the only case where it is valid. An S-polynomial is built in the
     kernel's packed form from the two integer tails, since the leads cancel;
     over Q that is a_i a_j S, which has the same monic normal form as S.
+
+    With max_degree, no generator or pair above it is taken: the result is a
+    Groebner basis truncated at that degree, to which every element of the
+    submodule of degree at most max_degree reduces to zero. With
+    reduced=False the final interreduction is skipped: the basis is minimal,
+    in the order its elements joined, but its tails are not reduced.
     """
     rank1_criterion = ambient.rank == 1
     keys = TermKeys(keyfn)
@@ -245,6 +254,8 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
     for g in work:
         if not g.is_homogeneous():
             raise ValueError("groebner engine requires homogeneous input")
+    if max_degree is not None:
+        work = [g for g in work if g.degree() <= max_degree]
     work, _ = _sorted_with_leads(work, [keys.lead(g.terms) for g in work], keys)
 
     G = []  # monic elements
@@ -265,7 +276,9 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
             if rank1_criterion and L == mono_mul(mi, mj):
                 done.add((i, j))
                 continue
-            heapq.heappush(pairs, (mono_deg(L) + dj, i, j))
+            deg = mono_deg(L) + dj
+            if max_degree is None or deg <= max_degree:
+                heapq.heappush(pairs, (deg, i, j))
 
     def add_elem(terms):
         lead = next(iter(terms))
@@ -323,6 +336,8 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
         if terms:
             add_elem(terms)
 
+    if not reduced:
+        return RawBasis(ambient, field, keyfn, G, leads, keys)
     # Elements joined in non-decreasing degree, each fully reduced by the
     # earlier ones, so no lead divides another and G is a minimal basis.
     # Replacing each tail by its normal form against G gives the reduced
@@ -338,14 +353,10 @@ def buchberger(gens, ambient, field, keyfn) -> RawBasis:
 
 
 class SubmoduleGB:
-    """Groebner data for a submodule given by generators.
+    """The reduced Groebner basis of a submodule given by generators, from
+    one plain Buchberger run; its syzygies come from `syzygies`."""
 
-    With syzygies=True the block computation also yields generators of the
-    syzygy module of the input generators (`syzygies`); without it, they
-    are not available.
-    """
-
-    def __init__(self, gens, syzygies=False):
+    def __init__(self, gens):
         elems, ambient = _as_elements(gens)
         if not elems:
             raise ValueError("empty generating set")
@@ -353,43 +364,7 @@ class SubmoduleGB:
         self.ambient = ambient
         self.field = elems[0].field
         self.keyfn = top_key
-        self.gen_degrees = tuple(g.degree() for g in elems)
-        self.syz_ambient = FreeGradedModule(self.gen_degrees)
-        if syzygies:
-            self._compute_block()
-        else:
-            self._plain = buchberger(elems, ambient, self.field, self.keyfn)
-
-    # --- block (syzygy) computation ------------------------------------
-
-    def _compute_block(self):
-        k = self.ambient.rank
-        r = len(self.gens)
-        twists = self.ambient.twists + self.gen_degrees
-        big = FreeGradedModule(twists)
-        field = self.field
-        keyfn = block_elim_key(k)
-        hs = []
-        for i, g in enumerate(self.gens):
-            terms = dict(g.terms)
-            terms[(k + i, (0, 0, 0))] = field.one
-            hs.append(ModuleElement(big, field, terms))
-        basis = buchberger(hs, big, field, keyfn)
-        gb = []
-        gb_leads = []
-        syz = []
-        for e, lead in zip(basis.elements, basis.leads):
-            fpart = {t: c for t, c in e.terms.items() if t[0] < k}
-            if fpart:
-                gb.append(ModuleElement(self.ambient, field, fpart))
-                # F-terms beat bookkeeping terms and are ordered as in
-                # self.keyfn, so the block lead is the lead of fpart
-                gb_leads.append(lead)
-            else:
-                epart = {(p - k, m): c for (p, m), c in e.terms.items()}
-                syz.append(ModuleElement(self.syz_ambient, field, epart))
-        self.syzygies = syz
-        self._plain = RawBasis(self.ambient, self.field, self.keyfn, gb, gb_leads)
+        self._plain = buchberger(elems, ambient, self.field, self.keyfn)
 
     # --- public surface -------------------------------------------------
 
@@ -460,12 +435,39 @@ def _interreduce_monomials(gens):
 
 def groebner_basis(gens):
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
-    return SubmoduleGB(gens, syzygies=False)
+    return SubmoduleGB(gens)
 
 
-def syzygies(gens):
-    """Generators of the syzygy module of a homogeneous generating set."""
-    return SubmoduleGB(gens, syzygies=True).syzygies
+def syzygies(gens, max_degree=None):
+    """Generators of the syzygy module of a homogeneous generating set, as
+    elements of the free module with the generators' degrees as twists.
+
+    One Buchberger run on F + S^r with generators g_i + e_i, under an order
+    in which every F-term beats every bookkeeping term, so an element of its
+    basis with a bookkeeping lead has no F-part: a syzygy. Its F-part is
+    discarded and nothing is interreduced. With max_degree the run is a
+    Groebner basis truncated there, and its syzygies generate the syzygy
+    module in every degree up to max_degree; above it they may not.
+    """
+    elems, ambient = _as_elements(gens)
+    if not elems:
+        raise ValueError("empty generating set")
+    field = elems[0].field
+    k = ambient.rank
+    degrees = tuple(g.degree() for g in elems)
+    big = FreeGradedModule(ambient.twists + degrees)
+    hs = []
+    for i, g in enumerate(elems):
+        terms = dict(g.terms)
+        terms[(k + i, (0, 0, 0))] = field.one
+        hs.append(ModuleElement(big, field, terms))
+    basis = buchberger(hs, big, field, block_elim_key(k), max_degree, reduced=False)
+    syz_ambient = FreeGradedModule(degrees)
+    return [
+        ModuleElement(syz_ambient, field, {(p - k, m): c for (p, m), c in e.terms.items()})
+        for e, (pos, _) in zip(basis.elements, basis.leads)
+        if pos >= k
+    ]
 
 
 def colon(gens, g: Polynomial):
@@ -473,7 +475,7 @@ def colon(gens, g: Polynomial):
     if g.is_zero():
         raise ValueError("colon by zero")
     last = len(gens)
-    syz = SubmoduleGB(list(gens) + [g], syzygies=True).syzygies
+    syz = syzygies(list(gens) + [g])
     return [q for q in (e.component(last) for e in syz) if not q.is_zero()]
 
 
@@ -489,21 +491,22 @@ def submodule_quotient(M, N):
     ideal times <M>, no relation has a constant entry: the presentation is
     minimal (graded Nakayama).
     """
-    sub = SubmoduleGB(M, syzygies=True)
+    m_elems, _ = _as_elements(list(M))
     n_elems, _ = _as_elements(list(N))
-    in_m, in_n = set(sub.gens), set(n_elems)
+    in_m, in_n = set(m_elems), set(n_elems)
     by_degree = {}
     for n in n_elems:
         if n not in in_m:
             by_degree.setdefault(n.degree(), []).append(n)
-    relations = list(sub.syzygies)
+    relations = syzygies(m_elems)
     for targets in by_degree.values():
         try:
-            relations += cofactors(targets, sub.gens)
+            relations += cofactors(targets, m_elems)
         except InvariantError as exc:
             raise ValueError("an element of N is not in <M>") from exc
-    dropped = {i for i, g in enumerate(sub.gens) if g in in_n}
-    return drop_generators(sub.syz_ambient, relations, dropped)
+    dropped = {i for i, g in enumerate(m_elems) if g in in_n}
+    ambient = FreeGradedModule(tuple(g.degree() for g in m_elems))
+    return drop_generators(ambient, relations, dropped)
 
 
 def _substitute_z(p: Polynomial, form: Polynomial) -> Polynomial:

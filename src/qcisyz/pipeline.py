@@ -14,11 +14,14 @@ The degree-wise linear-algebra evaluator of `linalg` runs only under
 `deep_checks`, as an oracle against those tables
 (`verify_hilbert_consistency`).
 
-Each ideal gets one reduced Groebner basis. The syzygy run on J yields J's
-basis and its syzygies; `saturate` starts from that basis and returns the
-reduced basis of the saturation Sigma, which gives tau and Sigma's minimal
-generators. Reduced bases are unique, so the free case's check that J is
-saturated compares the two bases.
+Each ideal gets one reduced Groebner basis. J's plain run gives its basis,
+staircase and normal forms, and the top degree D of AR's minimal
+generators; J's syzygy run then stops at block degree D + s, where AR's
+degree D sits (`groebner.syzygies`), so it forms no pair that only
+matters above it. `saturate` starts from
+J's basis and returns the reduced basis of the saturation Sigma, which
+gives tau and Sigma's minimal generators. Reduced bases are unique, so the
+free case's check that J is saturated compares the two bases.
 
 N is presented on its minimal generators, so its presentation has no
 constant entry and `minimal_resolution` resolves it as given (see
@@ -38,7 +41,7 @@ from typing import Optional
 
 from .errors import InputError, InvariantError
 from .fields import PrimeField
-from .groebner import SubmoduleGB, saturate
+from .groebner import SubmoduleGB, saturate, syzygies
 from .koszul import quotient_betti
 from .linalg import cofactors, hilbert_function, minimal_generators, rank_modulo, submodule_dim
 from .modules import (
@@ -49,7 +52,7 @@ from .modules import (
     poly_to_element,
 )
 from .orders import grevlex_key, hilbert_polynomial, monomial_count
-from .poly import Polynomial, add_terms, partial_derivatives
+from .poly import Polynomial, partial_derivatives
 from .resolution import (
     BettiTable,
     betti,
@@ -195,7 +198,7 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     if len(minimal_generators([poly_to_element(g) for g in gens])) < 3:
         raise InputError("not a valid q.c.i.: the three forms are linearly dependent")
 
-    sub = SubmoduleGB(gens, syzygies=True)
+    sub = SubmoduleGB(gens)
     gb_colength = sub.colength()
     if gb_colength is None:
         raise InputError("not a valid q.c.i.: codimension < 2")
@@ -209,21 +212,27 @@ def analyze(inp: QciInput, deep_checks: bool = False) -> QciAnalysis:
     # syzygy module AR, renormalized so that a syzygy's degree is the common
     # degree of its components (ambient twists zero). As 0 -> AR -> S^3 ->
     # S(s) -> (S/J)(s) -> 0 is exact, AR's table must have the numerator
-    # 3 - t^-s + t^-s * N_J. Only the syzygies up to its top positive degree
-    # are resolved, as a submodule of AR with AR's series is AR; a minimal
-    # generator above it cancels a b_j, and then all of them are resolved.
-    amb0 = FreeGradedModule((0, 0, 0))
-    ar_gens = sorted(
-        (ModuleElement(amb0, field, dict(e.terms)) for e in sub.syzygies),
-        key=_element_sort_key,
-    )
+    # 3 - t^-s + t^-s * N_J. J's syzygy run stops at its top positive
+    # degree D (degree D + s in the block run), as a submodule of AR with
+    # AR's series is AR; a minimal generator above D cancels a b_j, and then
+    # an uncapped run's syzygies are all resolved.
     ar_series = Counter({0: 3, -s: -1})
     for a, c in sub.numerator.items():
         ar_series[a - s] += c
     ar_series = {a: c for a, c in sorted(ar_series.items()) if c}
     top = max(a for a, c in ar_series.items() if c > 0)
-    ar_res = minimal_resolution([g for g in ar_gens if g.degree() <= top])
+    amb0 = FreeGradedModule((0, 0, 0))
+
+    def ar_generators(max_degree):
+        return sorted(
+            (ModuleElement(amb0, field, e.terms) for e in syzygies(sub.gens, max_degree)),
+            key=_element_sort_key,
+        )
+
+    ar_gens = ar_generators(top + s)
+    ar_res = minimal_resolution(ar_gens)
     if hilbert_series(betti(ar_res)) != ar_series:
+        ar_gens = ar_generators(None)
         ar_res = minimal_resolution(ar_gens)
     if ar_res.length > 1:
         raise InvariantError("syzygy module resolution longer than one step")
@@ -383,14 +392,22 @@ def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
     entries[(1, s)] += len(j_gens) - rk0
     for bj in b:
         entries[(3, bj + s)] += 1
+    cof_terms = [list(c.terms.items()) for c in cof]
     for di in sorted(set(exponents)):
         images = []
         for e in j_syz:
             if e.degree() == di:
+                # sum over the terms c * mono * e_k of mono * c * cof[k], in
+                # raw sums, taken mod p once
                 acc = {}
-                for (k, mono), c in e.terms.items():
-                    add_terms(field, acc, cof[k].mono_shift(mono, c).terms)
-                images.append(ModuleElement(f0, field, acc))
+                get = acc.get
+                for (k, (u, v, w)), coef in e.terms.items():
+                    for (pos, (u2, v2, w2)), coef2 in cof_terms[k]:
+                        t = (pos, (u + u2, v + v2, w + w2))
+                        acc[t] = get(t, 0) + coef * coef2
+                if field.prime:
+                    acc = {t: c % field.prime for t, c in acc.items()}
+                images.append(ModuleElement(f0, field, {t: c for t, c in acc.items() if c}))
         j = di + s
         rk1 = rank_modulo(images, [z for z in sigma_syz if z.degree() < j], f0.twists, j)
         entries[(1, j)] -= rk1

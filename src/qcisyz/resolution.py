@@ -5,6 +5,10 @@ exact linear algebra, its syzygy generators are minimalized in turn, and so
 on.  With membership-minimal generators at every level the differentials
 carry no constant entries, so the result is minimal by construction; this
 is asserted, and exactness of consecutive differentials is asserted too.
+A step ends the resolution without a syzygy run when its r elements are
+linearly independent at one of a few fixed points: then some r x r minor
+is a nonzero form, and they have no syzygy (`_independent_somewhere`).
+Otherwise Buchberger decides.
 A presented module is resolved from its relations as given, so its
 presentation must be minimal: a relation with a constant entry raises
 `ResolutionError`.
@@ -13,14 +17,23 @@ presentation must be minimal: a relation with a constant entry raises
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
+from math import lcm
 
+from . import linalg
 from .errors import InvariantError
+from .fields import DEFAULT_PRIME, PrimeField
 from .linalg import minimal_generators
 from .modules import FreeGradedModule, PresentedModule, poly_to_element
 from .orders import hilbert_series_value, mono_deg
 from .poly import Polynomial, add_terms
 
 MAX_LENGTH = 3  # Hilbert's syzygy theorem in three variables
+
+# where `_independent_somewhere` evaluates a step's elements, and the field
+# it ranks their values over for a module over Q
+POINTS = ((1, 2, 3), (3, -1, 2), (-2, 5, 1))
+_VALUE_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 class ResolutionError(InvariantError):
@@ -158,14 +171,52 @@ def betti(res: GradedResolution) -> BettiTable:
     return BettiTable.from_twists([m.twists for m in res.modules])
 
 
+def _independent_somewhere(elems) -> bool:
+    """True when the values of the elements at one of the `POINTS` are
+    linearly independent, so that they have no syzygy; False says nothing.
+    For r elements of a rank-n module the values form an r x n matrix, of
+    rank r at a point only where some r x r minor of the elements' matrix
+    of forms does not vanish. That minor is then a nonzero form, so the
+    elements are independent over the domain S. Over Q each element is
+    first scaled to integer coefficients, and the values are ranked modulo
+    a prime: a minor that is nonzero modulo it is a nonzero integer."""
+    n = elems[0].ambient.rank
+    if len(elems) > n:
+        return False
+    field = elems[0].field
+    if field.prime is None:
+        field, rows = _VALUE_FIELD, [_integral_terms(e.terms) for e in elems]
+    else:
+        rows = [e.terms.items() for e in elems]
+    for px, py, pz in POINTS:
+        ech = linalg.make_echelon(field, n)
+        for terms in rows:
+            value = {}
+            for (pos, (a, b, c)), coef in terms:
+                value[pos] = value.get(pos, 0) + coef * px**a * py**b * pz**c
+            # the eliminator takes plain ints over GF(p) and reduces them mod p
+            if not ech.add(value):
+                break
+        else:
+            return True
+    return False
+
+
+def _integral_terms(terms):
+    """The terms of an element over Q times the lcm of their denominators,
+    as (term, integer) pairs."""
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    return [(t, c.numerator * (den // c.denominator)) for t, c in terms.items()]
+
+
 def _resolve_from(gens):
     """Free modules and minimal generators of each step: a minimal subset of
     gens, then minimal syzygies of the step before, until there are none."""
-    from .groebner import SubmoduleGB
+    from .groebner import syzygies
 
     steps = [minimal_generators(gens)]
-    while steps[-1]:
-        syz = minimal_generators(SubmoduleGB(steps[-1], syzygies=True).syzygies)
+    while steps[-1] and not _independent_somewhere(steps[-1]):
+        syz = minimal_generators(syzygies(steps[-1]))
         if not syz:
             break
         steps.append(syz)

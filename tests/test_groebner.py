@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcisyz import groebner
-from qcisyz.catalog import catalog_entry, random_nonzero_form, random_qci
+from qcisyz.catalog import builtin_catalog, catalog_entry, random_nonzero_form, random_qci
 from qcisyz.errors import InputError
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.groebner import (
@@ -24,6 +24,7 @@ from qcisyz.groebner import (
     saturate,
     syzygies,
 )
+from qcisyz.linalg import minimal_generators
 from qcisyz.modules import FreeGradedModule, ModuleElement, poly_to_element
 from qcisyz.orders import (
     block_elim_key,
@@ -142,8 +143,6 @@ def test_saturate_strips_irrelevant_power():
 def test_saturate_of_saturated_ideal_is_identity():
     I = groebner_basis(polys(["x", "y"]))
     assert saturate(I).basis == I.basis
-    # a syzygy run's basis, as `analyze` passes it, is the same basis
-    assert saturate(SubmoduleGB(polys(["x", "y"]), syzygies=True)).basis == I.basis
 
 
 # reduced grevlex bases of the saturated jacobian ideals, as the earlier
@@ -268,14 +267,14 @@ def _counted_saturate(gb, monkeypatch):
 
 def test_saturate_accepts_z_with_one_run_and_no_shear(monkeypatch):
     J = list(random_qci(5, F, 3).polys)
-    runs, shears = _counted_saturate(SubmoduleGB(J, syzygies=True), monkeypatch)
+    runs, shears = _counted_saturate(SubmoduleGB(J), monkeypatch)
     assert (len(runs), shears) == (1, 0)
 
 
 @pytest.mark.parametrize("name", ["lines-4", "lines-5", "lines-6"])
 def test_rejected_lines_cost_no_groebner_run(name, monkeypatch):
     J = list(partial_derivatives(catalog_entry(name).input_over(QQ).polys[0]))
-    runs, shears = _counted_saturate(SubmoduleGB(J, syzygies=True), monkeypatch)
+    runs, shears = _counted_saturate(SubmoduleGB(J), monkeypatch)
     # the moved ideal's basis and the final one, however many lines were
     # rejected; the three generators moved, the moved basis moved back
     assert len(runs) == 2
@@ -722,3 +721,44 @@ def test_buchberger_interreduces_in_one_pass(case, kind):
         list(e.terms.items()) for e in expected
     ]
     assert got.leads == expected_leads
+
+
+# --- J's syzygies capped at a degree ------------------------------------------
+
+_CAP_FIELDS = [PrimeField(7), F, QQ]
+_CAP_SOURCES = [entry.name for entry in builtin_catalog()] + [(s, seed) for s in (2, 3, 4, 5) for seed in (0, 1)]
+
+
+def _jacobian_or_triple(source, field):
+    if isinstance(source, str):
+        inp = catalog_entry(source).input_over(field)
+        return list(partial_derivatives(inp.polys[0]))
+    s, seed = source
+    return list(random_qci(s, field, seed).polys)
+
+
+@pytest.mark.parametrize("field", _CAP_FIELDS, ids=["GF7", "GF32003", "QQ"])
+@pytest.mark.parametrize(
+    "source", _CAP_SOURCES, ids=[s if isinstance(s, str) else f"random-s{s[0]}-seed{s[1]}" for s in _CAP_SOURCES]
+)
+def test_capped_syzygies_have_the_minimal_generator_degrees_below_the_cap(field, source):
+    """A syzygy run capped at degree t is a Groebner basis truncated there:
+    its syzygies generate the syzygy module in every degree up to t, so
+    their minimal generators sit in the degrees of the uncapped run's up to
+    t, with the same multiplicities."""
+    gens = _jacobian_or_triple(source, field)
+    full = sorted(e.degree() for e in minimal_generators(syzygies(gens)))
+    for t in range(full[0] - 1, full[-1] + 2):
+        capped = syzygies(gens, max_degree=t)
+        assert all(e.degree() <= t for e in capped)
+        assert sorted(e.degree() for e in minimal_generators(capped)) == [a for a in full if a <= t]
+
+
+def test_a_cap_at_the_generators_degree_keeps_their_linear_relations():
+    """Generators of degree t join a run capped at t: two equal linear forms
+    have the degree-1 syzygy e_0 - e_1, and a cap below 1 takes none of
+    them."""
+    gens = polys(["x", "x", "y"])
+    capped = syzygies(gens, max_degree=1)
+    assert [sorted(e.terms.items()) for e in capped] == [[((0, (0, 0, 0)), F.one), ((1, (0, 0, 0)), F.neg(F.one))]]
+    assert syzygies(gens, max_degree=0) == []

@@ -256,19 +256,19 @@ def test_oracle_refuses_a_table_wrong_where_q_has_vanished(monkeypatch):
 
 
 def test_analyze_computes_each_reduced_basis_once(monkeypatch):
-    """No Buchberger run without syzygies returns a reduced basis that an
-    earlier run of the same `analyze` produced; a syzygy run counts by its
-    F-part, the basis of the submodule itself. Saturation's probes I' + (z)
-    are left out: two lines can cut out the same ideal."""
+    """No Buchberger run returns a reduced basis that an earlier run of the
+    same `analyze` produced. Only plain runs are interreduced: a syzygy run
+    on the block module keeps its tails, so it has no reduced basis to
+    repeat. Saturation's probes I' + (z) are left out: two lines can cut
+    out the same ideal."""
     real = groebner.buchberger
     runs = []
 
-    def recording(gens, ambient, field, keyfn):
-        basis = real(gens, ambient, field, keyfn)
-        plain = keyfn is top_key
-        split = ambient.rank if plain else ambient.rank - len(gens)
-        fparts = (frozenset((t, c) for t, c in e.terms.items() if t[0] < split) for e in basis.elements)
-        runs.append((plain, (ambient.twists[:split], tuple(f for f in fparts if f))))
+    def recording(gens, ambient, field, keyfn, max_degree=None, reduced=True):
+        assert reduced == (keyfn is top_key)
+        basis = real(gens, ambient, field, keyfn, max_degree, reduced)
+        if reduced:
+            runs.append((ambient.twists, tuple(frozenset(e.terms.items()) for e in basis.elements)))
         return basis
 
     monkeypatch.setattr(groebner, "buchberger", recording)
@@ -276,9 +276,9 @@ def test_analyze_computes_each_reduced_basis_once(monkeypatch):
     for inp in (catalog_entry("lines-4").input_over(QQ), random_qci(5, F, 0)):
         runs.clear()
         analyze(inp)
-        for i, (plain, key) in enumerate(runs):
-            if plain and z not in key[1]:
-                assert key not in [k for _, k in runs[:i]], f"run {i} repeats an earlier basis"
+        for i, key in enumerate(runs):
+            if z not in key[1]:
+                assert key not in runs[:i], f"run {i} repeats an earlier basis"
 
 
 def _presentation_inputs():
@@ -442,23 +442,26 @@ def test_a_lost_sigma_syzygy_fails_the_q_shape(name, monkeypatch, capsys):
     assert "differs from the predicted shape" in capsys.readouterr().err
 
 
-class _LosingLowestSyzygy(groebner.SubmoduleGB):
-    """J's syzygy run less its lowest-degree syzygy, which is a minimal
-    generator of AR: the rest generate a proper submodule."""
-
-    def __init__(self, gens, syzygies=False):
-        super().__init__(gens, syzygies)
-        lowest = min(self.syzygies, key=lambda e: e.degree())
-        self.syzygies = [e for e in self.syzygies if e is not lowest]
-
-
 def test_a_lost_minimal_syzygy_fails_the_hilbert_series_identity(monkeypatch, capsys):
+    """Every syzygy run of J loses its lowest-degree syzygy, a minimal
+    generator of AR, so the rest generate a proper submodule: the capped
+    run's set fails J's series, so does the uncapped rerun's, and the CLI
+    exits 3."""
     from qcisyz import cli
 
-    monkeypatch.setattr(pipeline, "SubmoduleGB", _LosingLowestSyzygy)
+    caps = []
+
+    def losing_lowest(gens, max_degree=None):
+        caps.append(max_degree)
+        syz = groebner.syzygies(gens, max_degree)
+        lowest = min(syz, key=lambda e: e.degree())
+        return [e for e in syz if e is not lowest]
+
+    monkeypatch.setattr(pipeline, "syzygies", losing_lowest)
     inp = catalog_entry("lines-5")
     with pytest.raises(InvariantError, match="Hilbert series of AR .* differs from 3 - t"):
         analyze(inp.input_over(F))
+    assert len(caps) == 2 and caps[0] is not None and caps[1] is None
     assert cli.main(["analyze", "--curve", inp.texts[0]]) == 3
     assert "Hilbert series of AR" in capsys.readouterr().err
 
@@ -466,12 +469,13 @@ def test_a_lost_minimal_syzygy_fails_the_hilbert_series_identity(monkeypatch, ca
 @pytest.mark.parametrize("name", ["nodal-cubic", "two-conics", "lines-5"])
 def test_a_cut_set_that_falls_short_is_resolved_whole(name, monkeypatch):
     """Forced fallback: the first resolution loses its top minimal
-    generator, so its table fails J's series and all of AR's syzygies are
-    resolved again. The record is unchanged, at one more resolution."""
+    generator, so its table fails J's series; one uncapped syzygy run of J
+    follows, and all its syzygies are resolved. The record is unchanged, at
+    one more syzygy run and one more resolution."""
     inp = catalog_entry(name).input_over(F)
     record = render_json(analysis_to_json(analyze(inp)))
-    real = pipeline.minimal_resolution
-    calls = []
+    real, real_syzygies = pipeline.minimal_resolution, pipeline.syzygies
+    calls, caps = [], []
 
     def short_first(gens):
         calls.append(gens)
@@ -479,9 +483,15 @@ def test_a_cut_set_that_falls_short_is_resolved_whole(name, monkeypatch):
             gens = linalg.minimal_generators(gens)[:-1]
         return real(gens)
 
+    def recording(gens, max_degree=None):
+        caps.append(max_degree)
+        return real_syzygies(gens, max_degree)
+
     monkeypatch.setattr(pipeline, "minimal_resolution", short_first)
+    monkeypatch.setattr(pipeline, "syzygies", recording)
     assert render_json(analysis_to_json(analyze(inp))) == record
     assert len(calls) == 4
+    assert len(caps) == 2 and caps[0] is not None and caps[1] is None
 
 
 def test_q_is_checked_against_the_staircases(monkeypatch):

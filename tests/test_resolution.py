@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from qcisyz.fields import PrimeField
-from qcisyz.groebner import groebner_basis, saturate
+from qcisyz.catalog import builtin_catalog, random_qci
+from qcisyz.fields import QQ, PrimeField
+from qcisyz.groebner import groebner_basis, saturate, syzygies
 from qcisyz.linalg import hilbert_function
 from qcisyz.modules import FreeGradedModule, ModuleElement, PresentedModule, poly_to_element
 from qcisyz.parsing import parse_polynomial
+from qcisyz.pipeline import analyze
 from qcisyz.poly import partial_derivatives
+from qcisyz.report import analysis_to_json, render_json
 from qcisyz.resolution import (
     BettiTable,
     ResolutionError,
+    _independent_somewhere,
     betti,
     minimal_resolution,
     predicted_sigma_tables,
@@ -49,8 +53,6 @@ def test_sigma_resolution_cubic_plus_line():
 
 
 def test_ar_resolution_lengths():
-    from qcisyz.groebner import syzygies
-
     # triangle: free, length 0
     tri = syzygies(list(partial_derivatives(parse_polynomial("x*y*z", F))))
     amb0 = FreeGradedModule((0, 0, 0))
@@ -140,3 +142,96 @@ def test_presentation_with_a_constant_entry_is_rejected():
     e0 = ModuleElement(S2, F, {(0, (0, 0, 0)): F.one})
     with pytest.raises(ResolutionError, match="not minimal"):
         minimal_resolution(PresentedModule(S2, [e0]))
+
+
+# --- the independence certificate that ends a resolution ----------------------
+
+
+def _ar_generators(text, field=F):
+    """AR's syzygies, with ambient twists zero, for the curve text."""
+    amb0 = FreeGradedModule((0, 0, 0))
+    J = list(partial_derivatives(parse_polynomial(text, field)))
+    return [ModuleElement(amb0, field, e.terms) for e in syzygies(J)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), F, QQ], ids=["GF7", "GF32003", "QQ"])
+def test_the_certificate_never_passes_elements_with_a_syzygy(field):
+    """The certificate refuses AR's four minimal generators in S^3 (r > n)
+    and every pair (c, x*c), whose values are dependent at every point; it
+    passes AR's two second syzygies in S^4, which have no syzygy."""
+    res = minimal_resolution(_ar_generators("z*y^2 - x^3 - z*x^2", field))
+    ar_min, second = res.generators, res.differentials[0]
+    assert (len(ar_min), len(second)) == (4, 2)
+    assert not _independent_somewhere(ar_min)
+    x = (1, 0, 0)
+    for c in ar_min + second:
+        assert not _independent_somewhere([c, c.mono_shift(x, field.one)])
+    assert _independent_somewhere(second)
+    assert syzygies(second) == []
+
+
+def _records_and_certificates(inputs, points=None):
+    """Each input's m and record, the steps the certificate ended, and the number
+    of syzygy runs the resolutions made, with the certificate's points
+    replaced when points is given."""
+    from qcisyz import groebner, resolution
+
+    real, real_syzygies = resolution._independent_somewhere, groebner.syzygies
+    passed, runs = [], []
+
+    def recording(elems):
+        if real(elems):
+            passed.append(elems)
+            return True
+        return False
+
+    def counting(gens, max_degree=None):
+        runs.append(gens)
+        return real_syzygies(gens, max_degree)
+
+    records = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_independent_somewhere", recording)
+        mp.setattr(groebner, "syzygies", counting)
+        if points is not None:
+            mp.setattr(resolution, "POINTS", points)
+        for inp in inputs:
+            a = analyze(inp)
+            records.append((a.m, render_json(analysis_to_json(a))))
+    return records, passed, len(runs)
+
+
+def _certificate_inputs():
+    for entry in builtin_catalog():
+        for field in (PrimeField(7), F, QQ):
+            if not (field.prime == 7 and entry.name == "lines-6"):  # every GF(7) line meets its nodes
+                yield entry.input_over(field)
+    for s in (2, 3, 4, 5):
+        yield random_qci(s, F, 0)
+
+
+def test_every_certified_step_has_no_syzygy():
+    """On the catalog over GF(7), GF(32003) and Q and on draws at s = 2..5,
+    each step the certificate ends has no syzygy by a Buchberger run. It
+    ends the last step of AR, Sigma and N on every input, except N's in the
+    free case, where N has no relations to resolve."""
+    inputs = list(_certificate_inputs())
+    records, passed, _ = _records_and_certificates(inputs)
+    free = sum(m == 2 for m, _ in records)
+    assert 0 < free < len(inputs)
+    assert len(passed) == 3 * len(inputs) - free
+    for elems in passed:
+        assert syzygies(elems) == []
+
+
+def test_points_where_every_rank_drops_leave_the_decision_to_buchberger():
+    """With the origin as the only point, every step's values vanish, the
+    certificate ends nothing and a syzygy run ends each resolution, as it
+    did before the certificate: every record is the same, at one more run
+    for each step the certificate ended."""
+    inputs = list(_certificate_inputs())
+    records, passed, runs = _records_and_certificates(inputs)
+    dropped, none_passed, more_runs = _records_and_certificates(inputs, ((0, 0, 0),))
+    assert dropped == records
+    assert none_passed == []
+    assert more_runs == runs + len(passed)
