@@ -29,22 +29,13 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
 from .errors import InputError, InvariantError
 from .linalg import cofactors
 from .modules import FreeGradedModule, ModuleElement, drop_generators, poly_to_element
-from .orders import (
-    block_elim_key,
-    hilbert_polynomial,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    top_key,
-)
+from .orders import block_elim_key, hilbert_polynomial, top_key
 from .poly import Polynomial
 
 
@@ -262,33 +253,49 @@ def buchberger(gens, ambient, field, keyfn, max_degree=None, reduced=True) -> Ra
     leads = []  # (pos, mono)
     reducers = []  # `_reducer` of each element
     by_pos = {}  # pos -> reducers, in the order of G
+    at_pos = {}  # pos -> indices into G, increasing
     pairs = []  # heap of (degree, i, j)
     done = set()
 
-    def add_pairs(j):
-        pj, mj = leads[j]
-        dj = G[j].degree() - mono_deg(mj)
-        for i in range(j):
-            pi, mi = leads[i]
-            if pi != pj:
+    def add_pairs(j, same):
+        """Queue the pairs (i, j) for the earlier indices i of j's lead position."""
+        pj, (a0, a1, a2) = leads[j]
+        dj = ambient.twists[pj]
+        for i in same:
+            b0, b1, b2 = leads[i][1]
+            if rank1_criterion and not (a0 and b0 or a1 and b1 or a2 and b2):
+                done.add((i, j))  # coprime leads: lcm = product
                 continue
-            L = mono_lcm(mi, mj)
-            if rank1_criterion and L == mono_mul(mi, mj):
-                done.add((i, j))
-                continue
-            deg = mono_deg(L) + dj
+            deg = (a0 if a0 > b0 else b0) + (a1 if a1 > b1 else b1) + (a2 if a2 > b2 else b2) + dj
             if max_degree is None or deg <= max_degree:
                 heapq.heappush(pairs, (deg, i, j))
 
     def add_elem(terms):
-        lead = next(iter(terms))
-        e = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
-        red = _reducer(e.terms, lead, keys, field)
+        if field.prime is None:
+            lead = next(iter(terms))
+            e = ModuleElement(ambient, field, terms).scale(field.inv(terms[lead]))
+            red = _reducer(e.terms, lead, keys, field)
+        else:
+            # the monic terms and the reducer's tail (see `_reducer`) in one pass
+            p = field.prime
+            items = iter(terms.items())
+            lead, c = next(items)
+            inv = field.inv(c)
+            monic, tail = {lead: field.one}, []
+            for t, c in items:
+                c = inv * c % p
+                monic[t] = c
+                tail.append((keys[t], -c))
+            e = ModuleElement(ambient, field, monic)
+            red = lead[1], keys[lead], 1, tail
+        j = len(G)
         G.append(e)
         leads.append(lead)
         reducers.append(red)
         by_pos.setdefault(lead[0], []).append(red)
-        add_pairs(len(G) - 1)
+        same = at_pos.setdefault(lead[0], [])
+        add_pairs(j, same)
+        same.append(j)
 
     work_deg = [g.degree() for g in work]
     qi = 0
@@ -305,16 +312,16 @@ def buchberger(gens, ambient, field, keyfn, max_degree=None, reduced=True) -> Ra
         if (i, j) in done:
             continue
         done.add((i, j))
-        pi, mi = leads[i]
-        pj, mj = leads[j]
-        L = mono_lcm(mi, mj)
-        # chain criterion
+        pi, (a0, a1, a2) = leads[i]
+        b0, b1, b2 = leads[j][1]
+        L = (a0 if a0 > b0 else b0, a1 if a1 > b1 else b1, a2 if a2 > b2 else b2)
+        # chain criterion, over the other elements with the pair's lead position
         skip = False
-        for k in range(len(G)):
-            if k in (i, j):
+        for k in at_pos[pi]:
+            if k == i or k == j:
                 continue
-            pk, mk = leads[k]
-            if pk == pi and mono_divides(mk, L):
+            mk = leads[k][1]
+            if mk[0] <= L[0] and mk[1] <= L[1] and mk[2] <= L[2]:
                 a, b = (i, k) if i < k else (k, i)
                 c, d = (j, k) if j < k else (k, j)
                 if (a, b) in done and (c, d) in done:
@@ -401,33 +408,52 @@ class SubmoduleGB:
 
 def hilbert_numerator(lead_monomials):
     """Hilbert series numerator of S/(monomial ideal) over (1-t)^3, as
-    {degree: coefficient} like `resolution.hilbert_series`."""
+    {degree: coefficient} like `resolution.hilbert_series`, by z-slices
+    (Bayer and Stillman, *Computation of Hilbert functions*, J. Symbolic
+    Comput. 14, 1992).
 
-    @lru_cache(maxsize=None)
-    def rec(gens):
-        if not gens:
-            return {0: 1}
-        if (0, 0, 0) in gens:
-            return {}
-        gens = _interreduce_monomials(gens)
-        # S/(rest + head) = S/(rest) - t^deg(head) * S/(rest : head)
-        head, rest = gens[-1], gens[:-1]
-        num = Counter(rec(rest))
-        d = mono_deg(head)
-        colon = tuple(sorted(mono_div(mono_lcm(g, head), head) for g in rest))
-        for a, c in rec(colon).items():
-            num[a + d] -= c
-        return {a: c for a, c in sorted(num.items()) if c}
+    S/I is the direct sum over k of z^k * k[x, y]/I_k, where I_k is generated
+    by the x^a y^b of the leads x^a y^b z^c with c <= k; I_k is constant from
+    the largest such c, K, on. A two-variable staircase with minimal corners
+    x^(a_i) y^(b_i), a increasing, has the numerator H = 1 - sum t^(a_i+b_i)
+    + sum t^(a_(i+1)+b_i) over (1-t)^2, so the numerator of S/I is
+    (1-t) * sum_(k<K) t^k H_k + t^K H_K = sum_k t^k (H_k - H_(k-1)), with
+    H_(-1) = 0: only k = 0 and the z-exponents of the leads contribute.
+    """
+    by_z = {}
+    for a, b, c in lead_monomials:
+        by_z.setdefault(c, []).append((a, b))
+    num = Counter()
+    plane, prev = [], {}
+    for k in sorted(by_z.keys() | {0}):
+        plane = _corners(plane + by_z.get(k, []))
+        h = _plane_numerator(plane)
+        for e, c in h.items():
+            num[e + k] += c
+        for e, c in prev.items():
+            num[e + k] -= c
+        prev = h
+    return {e: c for e, c in sorted(num.items()) if c}
 
-    return rec(_interreduce_monomials(tuple(sorted(lead_monomials))))
 
-
-def _interreduce_monomials(gens):
+def _corners(points):
+    """The minimal points of a set of (a, b) under divisibility, a increasing."""
     out = []
-    for g in sorted(set(gens), key=mono_deg):
-        if not any(mono_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(sorted(out))
+    for a, b in sorted(points):
+        if not out or b < out[-1][1]:
+            out.append((a, b))
+    return out
+
+
+def _plane_numerator(corners):
+    """Hilbert series numerator of k[x, y]/(x^a y^b for (a, b) in corners)
+    over (1-t)^2, as a Counter; corners minimal, a increasing."""
+    h = Counter({0: 1})
+    for a, b in corners:
+        h[a + b] -= 1
+    for (_, b), (a, _) in zip(corners, corners[1:]):
+        h[a + b] += 1
+    return h
 
 
 # --- ideal-level operations ---------------------------------------------

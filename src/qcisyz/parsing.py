@@ -7,7 +7,7 @@ operand of / must be an integer literal.
 
 from __future__ import annotations
 
-from .poly import Polynomial
+from .poly import Polynomial, add_terms
 
 
 class ParseError(ValueError):
@@ -16,7 +16,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_VAR_INDEX = {"x": 0, "y": 1, "z": 2}
+_VAR_MONO = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
 def _tokenize(text: str):
@@ -38,7 +38,7 @@ def _tokenize(text: str):
             while j < n and text[j].isalnum():
                 j += 1
             name = text[i:j]
-            if name not in _VAR_INDEX:
+            if name not in _VAR_MONO:
                 raise ParseError(f"unknown identifier {name!r}", i)
             tokens.append(("var", name, i))
             i = j
@@ -71,31 +71,35 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
         return t
 
-    def parse_expr(self) -> Polynomial:
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -sign
-        p = self.parse_term()
-        if sign < 0:
-            p = -p
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            sign = 1 if op == "+" else -1
+    def parse_expr(self) -> dict:
+        """A sum of terms as one term dict, each term added in place."""
+        f = self.field
+        minus = f.neg(f.one)
+        acc = {}
+        while True:
+            sign = 1
             while self.peek()[0] in ("+", "-"):
                 if self.next()[0] == "-":
                     sign = -sign
-            q = self.parse_term()
-            p = p + q if sign > 0 else p - q
-        return p
+            add_terms(f, acc, _term_dict(f, self.parse_term()), None if sign > 0 else minus)
+            if self.peek()[0] not in ("+", "-"):
+                return acc
 
-    def parse_term(self) -> Polynomial:
+    # A factor is a (monomial, coefficient) pair while it has a single term,
+    # the coefficient possibly zero, and a Polynomial otherwise.
+
+    def parse_term(self):
         p = self.parse_power()
         while True:
             kind = self.peek()[0]
             if kind == "*":
                 self.next()
-                p = p * self.parse_power()
+                q = self.parse_power()
+                if isinstance(p, tuple) and isinstance(q, tuple):
+                    (m, c), (n, d) = p, q
+                    p = ((m[0] + n[0], m[1] + n[1], m[2] + n[2]), self.field.mul(c, d))
+                else:
+                    p = _as_polynomial(self.field, p) * _as_polynomial(self.field, q)
             elif kind == "/":
                 tok = self.next()
                 num = self.peek()
@@ -104,11 +108,15 @@ class _Parser:
                 d = self.field.coerce(self.next()[1])
                 if d == self.field.zero:  # 0, or a multiple of p over GF(p)
                     raise ParseError("division by zero in the coefficient field", num[2])
-                p = p.scale(self.field.inv(d))
+                inv = self.field.inv(d)
+                if isinstance(p, tuple):
+                    p = (p[0], self.field.mul(inv, p[1]))
+                else:
+                    p = p.scale(inv)
             else:
                 return p
 
-    def parse_power(self) -> Polynomial:
+    def parse_power(self):
         p = self.parse_atom()
         while self.peek()[0] == "^":
             tok = self.next()
@@ -116,32 +124,53 @@ class _Parser:
             if e[0] != "int":
                 raise ParseError("exponent must be an integer literal", tok[2])
             self.next()
-            if e[1] < 0:
+            n = e[1]
+            if n < 0:
                 raise ParseError("negative exponent", e[2])
-            acc = Polynomial.constant(self.field, 1)
-            for _ in range(e[1]):
-                acc = acc * p
-            p = acc
+            if isinstance(p, tuple):
+                (a, b, c), coef = p
+                acc = self.field.one
+                for _ in range(n):
+                    acc = self.field.mul(acc, coef)
+                p = ((n * a, n * b, n * c), acc)
+            else:
+                acc = Polynomial.constant(self.field, 1)
+                for _ in range(n):
+                    acc = acc * p
+                p = acc
         return p
 
-    def parse_atom(self) -> Polynomial:
+    def parse_atom(self):
         t = self.next()
         if t[0] == "int":
-            return Polynomial.constant(self.field, t[1])
+            return (0, 0, 0), self.field.coerce(t[1])
         if t[0] == "var":
-            return Polynomial.variable(self.field, _VAR_INDEX[t[1]])
+            return _VAR_MONO[t[1]], self.field.one
         if t[0] == "(":
-            p = self.parse_expr()
+            terms = self.parse_expr()
             self.expect(")")
-            return p
+            if len(terms) == 1:
+                return next(iter(terms.items()))
+            return Polynomial(self.field, terms)
         raise ParseError(f"unexpected token {t[1]!r}", t[2])
+
+
+def _term_dict(field, p) -> dict:
+    if not isinstance(p, tuple):
+        return p.terms
+    m, c = p
+    return {} if c == field.zero else {m: c}
+
+
+def _as_polynomial(field, p) -> Polynomial:
+    return Polynomial(field, _term_dict(field, p))
 
 
 def parse_polynomial(text: str, field) -> Polynomial:
     """Parse polynomial text over the given field."""
     parser = _Parser(_tokenize(text), field)
-    p = parser.parse_expr()
+    terms = parser.parse_expr()
     tail = parser.peek()
     if tail[0] != "end":
         raise ParseError(f"trailing input {tail[1]!r}", tail[2])
-    return p
+    return Polynomial(field, terms)

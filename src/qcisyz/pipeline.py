@@ -5,14 +5,14 @@ N, and the Betti table of the finite-length module Q = I_sat/J).
 
 Every Hilbert value `analyze` reads comes from a Hilbert series numerator,
 through its Hilbert polynomial (`orders.hilbert_polynomial`): colengths
-from the grevlex staircase (`groebner.hilbert_numerator`), tau's
-cross-check from Sigma's Betti table. AR's Betti table is held against the
-series J's staircase fixes, 3 - t^-s + t^-s * N_J: at t = 1 its value,
-slope and curvature are m - #b = 2, the d_i less the b_j sum to d - 1, and
-c_2 = (d-1)^2 - tau. With N's shape, that makes deg Z the Chern formula's.
-The degree-wise linear-algebra evaluator of `linalg` runs only under
-`deep_checks`, as an oracle against those tables
-(`verify_hilbert_consistency`).
+from the grevlex staircase, summed over its slices by powers of z
+(`groebner.hilbert_numerator`), tau's cross-check from Sigma's Betti
+table. AR's Betti table is held against the series J's staircase fixes,
+3 - t^-s + t^-s * N_J: at t = 1 its value, slope and curvature are
+m - #b = 2, the d_i less the b_j sum to d - 1, and c_2 = (d-1)^2 - tau.
+With N's shape, that makes deg Z the Chern formula's. The degree-wise
+linear-algebra evaluator of `linalg` runs only under `deep_checks`, as an
+oracle against those tables (`verify_hilbert_consistency`).
 
 Each ideal gets one reduced Groebner basis. J's plain run gives its basis,
 staircase and normal forms, and the top degree D of AR's minimal
@@ -353,6 +353,9 @@ def _z_report(ar_res, exponents, b, d, internals) -> ZReport:
     )
 
 
+_MASK = (1 << 32) - 1  # one field of `_h1_report`'s packed term keys
+
+
 def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
     """The finite-length module Q = I_sat / J by its Betti table, read off
     the long exact Tor sequence of 0 -> J -> I_sat -> Q -> 0 (Eisenbud, *The
@@ -383,6 +386,7 @@ def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
     """
     s = d - 1
     field = j_gens[0].field
+    p = field.prime
     f0 = sigma_res.modules[0]
     sigma_syz = sigma_res.differentials[0]
     cof = cofactors(j_gens, sigma_res.generators)
@@ -392,7 +396,12 @@ def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
     entries[(1, s)] += len(j_gens) - rk0
     for bj in b:
         entries[(3, bj + s)] += 1
-    cof_terms = [list(c.terms.items()) for c in cof]
+    # a cofactor term (pos, (u, v, w)) as one integer key, so that shifting
+    # it by a monomial is one integer add; decoded once per image
+    cof_terms = [
+        [((pos << 96) | (u << 64) | (v << 32) | w, c) for (pos, (u, v, w)), c in cf.terms.items()]
+        for cf in cof
+    ]
     for di in sorted(set(exponents)):
         images = []
         for e in j_syz:
@@ -402,12 +411,18 @@ def _h1_report(j_gens, sigma_res, j_syz, exponents, b, d, m) -> H1Report:
                 acc = {}
                 get = acc.get
                 for (k, (u, v, w)), coef in e.terms.items():
-                    for (pos, (u2, v2, w2)), coef2 in cof_terms[k]:
-                        t = (pos, (u + u2, v + v2, w + w2))
-                        acc[t] = get(t, 0) + coef * coef2
-                if field.prime:
-                    acc = {t: c % field.prime for t, c in acc.items()}
-                images.append(ModuleElement(f0, field, {t: c for t, c in acc.items() if c}))
+                    shift = (u << 64) | (v << 32) | w
+                    for key, coef2 in cof_terms[k]:
+                        key += shift
+                        acc[key] = get(key, 0) + coef * coef2
+                terms = {}
+                for key, c in acc.items():
+                    if p:
+                        c %= p
+                    if c:
+                        mono = ((key >> 64) & _MASK, (key >> 32) & _MASK, key & _MASK)
+                        terms[(key >> 96, mono)] = c
+                images.append(ModuleElement(f0, field, terms))
         j = di + s
         rk1 = rank_modulo(images, [z for z in sigma_syz if z.degree() < j], f0.twists, j)
         entries[(1, j)] -= rk1

@@ -2,7 +2,8 @@
 
 Each output is compared by its sha256 digest with tests/golden_sha256.json:
 the check records of the catalog over GF(32003) and over the rationals and
-of the 200-triple acceptance corpus, two fuzz summaries, and four
+of the 200-triple acceptance corpus, of GF(32003) draws at s = 6 and 7
+(where exponents and staircases are largest), two fuzz summaries, and four
 search-tau-plus documents. A change that moves any byte fails here; the
 digest file changes only together with a deliberate schema change.
 """
@@ -12,7 +13,7 @@ import json
 from pathlib import Path
 
 from qcisyz import cli
-from qcisyz.catalog import builtin_catalog
+from qcisyz.catalog import builtin_catalog, random_qci
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.pipeline import analyze
 from qcisyz.report import analysis_to_json, render_json
@@ -28,6 +29,8 @@ CLI_RUNS = {
     "tau-plus-5-3-fp": ["search-tau-plus", "--d", "5", "--d1", "3", "--seed", "1"],
     "tau-plus-3-2-q": ["search-tau-plus", "--d", "3", "--d1", "2", "--seed", "1", "--field", "q"],
 }
+# (s, seeds) of the `random_qci` draws over GF(32003) gated beyond the corpus.
+LARGE_DRAWS = {6: range(4), 7: range(2)}
 
 
 def sha(text: str) -> str:
@@ -47,6 +50,10 @@ def golden_digests(corpus, tmp_path) -> dict:
             out[f"catalog-{field.kind}/{entry.name}"] = sha(check_record(a, check_all(a)))
     for seed, s, a, report in corpus:
         out[f"corpus/s{s}-{seed}"] = sha(check_record(a, report))
+    for s, seeds in LARGE_DRAWS.items():
+        for seed in seeds:
+            a = analyze(random_qci(s, PrimeField(32003), seed))
+            out[f"draw/s{s}-{seed}"] = sha(check_record(a, check_all(a)))
     for name, argv in CLI_RUNS.items():
         path = tmp_path / f"{name}.json"
         assert cli.main(argv + ["--output-file", str(path)]) == 0, name

@@ -306,26 +306,58 @@ def _standard_monomial_count(leads, t):
     return sum(1 for m in monomials_of_degree(t) if not any(mono_divides(g, m) for g in leads))
 
 
+def _series_coefficient(num, t):
+    """The degree-t coefficient of num / (1-t)^3."""
+    return sum(c * (t - a + 2) * (t - a + 1) // 2 for a, c in num.items() if a <= t)
+
+
+def _assert_numerator_counts_staircase(leads):
+    # at every degree from 0 the series counts the standard monomials, and
+    # past the numerator's degree HF(S/I) is the Hilbert polynomial
+    num = hilbert_numerator(leads)
+    e0, e1, e2 = hilbert_polynomial(num)
+    t0 = max(num, default=0) + 1
+    for t in range(t0 + 4):
+        count = _standard_monomial_count(leads, t)
+        assert _series_coefficient(num, t) == count, (leads, t)
+        if t >= t0:
+            assert e0 * (t + 1) * (t + 2) // 2 + e1 * (t + 1) + e2 == count, (leads, t)
+
+
+@pytest.mark.parametrize(
+    "leads,expected",
+    [
+        ((), {0: 1}),
+        (((0, 0, 0),), {}),
+        (((0, 0, 0), (1, 2, 0)), {}),
+        (((0, 0, 3),), {0: 1, 3: -1}),
+        (((0, 0, 2), (0, 0, 5)), {0: 1, 2: -1}),
+        (((2, 0, 0), (2, 0, 0), (0, 3, 0), (2, 1, 0), (3, 3, 1)), {0: 1, 2: -1, 3: -1, 5: 1}),
+        (((1, 0, 1), (0, 1, 2), (1, 1, 1), (0, 0, 4), (0, 1, 3)), None),
+    ],
+)
+def test_staircase_numerator_fixed_cases(leads, expected):
+    # the empty ideal, a unit lead, pure z-powers, duplicates and non-minimal
+    # leads (x^2, x^2, y^3, x^2 y and x^3 y^3 z generate (x^2, y^3))
+    if expected is not None:
+        assert hilbert_numerator(leads) == expected
+    _assert_numerator_counts_staircase(leads)
+
+
 _monomial_ideals = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=8
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(first=_monomial_ideals, second=_monomial_ideals)
 def test_staircase_values_match_standard_monomial_count(first, second):
-    # past the numerator's degree HF(S/I) is the Hilbert polynomial
     for leads in (first, second):
-        num = hilbert_numerator(leads)
-        e0, e1, e2 = hilbert_polynomial(num)
-        t0 = max(num, default=0) + 1
-        for t in range(t0, t0 + 4):
-            hp = e0 * (t + 1) * (t + 2) // 2 + e1 * (t + 1) + e2
-            assert hp == _standard_monomial_count(leads, t)
-    # the numerator's degree is at most that of the lcm of all leads, 9, so
-    # from degree 9 on HF(S/I) is its Hilbert polynomial: constant iff V(I)
+        _assert_numerator_counts_staircase(leads)
+    # the numerator's degree is at most that of the lcm of all leads, 18, so
+    # from degree 18 on HF(S/I) is its Hilbert polynomial: constant iff V(I)
     # is finite, and then the colength
-    eventual = [_standard_monomial_count(first, t) for t in (9, 10, 11)]
+    eventual = [_standard_monomial_count(first, t) for t in (18, 19, 20)]
     expected = eventual[0] if eventual[0] == eventual[1] == eventual[2] else None
     gb = groebner_basis([Polynomial(F, {m: F.one}) for m in first])
     assert gb.colength() == expected

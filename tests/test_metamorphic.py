@@ -1,5 +1,6 @@
 """Metamorphic properties: the invariants of a q.c.i. triple do not depend
-on the coordinates, nor on the order or scaling of its three forms."""
+on the coordinates, nor on the order or scaling of its three forms, and
+those of the catalog curves not on the field."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcisyz.catalog import catalog_entry, random_qci
+from qcisyz.catalog import builtin_catalog, catalog_entry, random_qci
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.pipeline import QciInput, analyze
 from qcisyz.poly import Polynomial
@@ -18,7 +19,10 @@ F = PrimeField(32003)
 def invariants(inp):
     """tau, the exponents, the second-syzygy degrees and the Betti tables of
     AR, Sigma, N and Q."""
-    a = analyze(inp)
+    return analysis_invariants(analyze(inp))
+
+
+def analysis_invariants(a):
     tables = (a.ar_betti, a.sigma_betti, a.z and a.z.z_betti, a.h1 and a.h1.h1_betti)
     return a.tau, a.exponents, a.second_syzygy_degrees, tables
 
@@ -130,3 +134,15 @@ def test_invariants_survive_rational_rescaling_over_q(s, seed, perm, scales):
 def test_curve_invariants_survive_rational_rescaling_over_q(name, scale):
     inp = catalog_entry(name).input_over(QQ)
     assert invariants(QciInput.curve(inp.polys[0].scale(scale))) == invariants(inp)
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_catalog_invariants_do_not_depend_on_the_field(entry):
+    # the catalog's integer equations over two primes and the rationals
+    def over(field):
+        a = analyze(entry.input_over(field))
+        return analysis_invariants(a), a.classification
+
+    expected = over(QQ)
+    assert over(F) == expected
+    assert over(PrimeField(65521)) == expected
