@@ -13,17 +13,26 @@ from series numerators instead; the evaluator is only the oracle that
 `analyze(..., deep_checks=True)`.
 
 Over every field the rows are kept sparse, so a reduction step touches only
-a pivot row's nonzeros. A pivot row is stored as its tail, a list of
-(column, -value) right of its pivot, as `groebner._reducer` stores a monic
-element over GF(p). Over GF(p) a vector being reduced holds plain ints, each
-taken mod p only when its column is reached (the lazy update of
-`groebner._reduce`); over Q the same code runs on Fractions.
+a pivot row's nonzeros, and the arithmetic is on plain ints. A pivot row is
+stored as its tail, a list of (column, -value) right of its pivot. Over
+GF(p) the row is monic, as `groebner._reducer` stores an element, and a
+vector being reduced holds ints, each taken mod p only when its column is
+reached (the lazy update of `groebner._reduce`). Over Q the elimination is
+fraction-free (Bareiss, *Math. Comp.* 22, 1968, one step at a time): a pivot
+row is a primitive integer vector, and a vector v is brought over one common
+denominator lam and reduced by a row with pivot a as a' * v - c' * row, c
+being v's entry at the pivot and a' = a/g, c' = c/g for g = gcd(a, c), while
+lam takes the factor a'. Fractions are built only for what leaves the
+eliminator: `reduce` returns v/lam exactly, and `rows()` scales each row to
+pivot 1.
 """
 
 from __future__ import annotations
 
 import bisect
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
+from math import gcd, lcm
 
 from .errors import InvariantError
 from .modules import FreeGradedModule, ModuleElement, PresentedModule
@@ -60,15 +69,29 @@ def free_module_dim(twists, t: int) -> int:
 class _Echelon:
     """Rows in echelon form over a field, kept sparse.
 
-    A pivot row is normalized (its pivot is 1) and stored as its tail: a
-    list of (column, -value) of its other nonzeros, all right of the pivot.
-    Vectors in and out are {column: value} of their nonzero entries.
+    A pivot row is stored as its tail: a list of (column, -value) of its
+    other nonzeros, all right of the pivot. Over GF(p) the row is normalized
+    (its pivot is 1). Over Q it is the primitive integer vector with a
+    positive pivot, which `lead` holds. Vectors in and out are
+    {column: value} of their nonzero entries; `rows()` scales each row to
+    pivot 1 over both.
+
+    The routines over Q are chosen once, here, so that the GF(p) ones pay
+    no test of the field per call.
     """
 
     def __init__(self, field):
         self.field = field
         self.pivots = {}  # pivot column -> tail
         self.cols = []  # the pivot columns, increasing
+        if field.prime is None:
+            self.lead = {}  # pivot column -> the pivot, a positive int
+            self.add, self.reduce, self.insert, self.rows = (
+                self._add_q,
+                self._reduce_q,
+                self._insert_q,
+                self._rows_q,
+            )
 
     def add(self, vec) -> bool:
         """Reduce vec and keep it if it is independent of the rows kept."""
@@ -86,14 +109,11 @@ class _Echelon:
         v = dict(vec)
         pop, get = v.pop, v.get
         for col in self.cols:
-            c = pop(col, 0)
-            if p:
-                c %= p
+            c = pop(col, 0) % p
             if c:
                 for j, b in self.pivots[col]:
                     v[j] = get(j, 0) + c * b
-        if p:
-            v = {j: a % p for j, a in v.items()}
+        v = {j: a % p for j, a in v.items()}
         return {j: a for j, a in v.items() if a}
 
     def insert(self, v) -> bool:
@@ -114,6 +134,71 @@ class _Echelon:
             {col: field.one, **{j: field.neg(b) for j, b in self.pivots[col]}}
             for col in self.cols
         ]
+
+    # over Q
+
+    def _integral(self, vec):
+        """vec reduced by every pivot row, in increasing pivot column, as
+        (w, lam): integers w over one denominator lam, w/lam the reduced
+        vector. Each step is a' * v - c' * row (see the module docstring)."""
+        v, lam = _over_common_denominator(vec)
+        pop, get = v.pop, v.get
+        lead = self.lead
+        for col in self.cols:
+            c = pop(col, 0)
+            if c:
+                a = lead[col]
+                g = gcd(a, c)
+                if g != a:
+                    a //= g
+                    lam *= a
+                    for j in v:
+                        v[j] *= a
+                c //= g
+                for j, b in self.pivots[col]:
+                    v[j] = get(j, 0) + c * b
+        return {j: x for j, x in v.items() if x}, lam
+
+    def _add_q(self, vec) -> bool:
+        return self._store(self._integral(vec)[0])
+
+    def _reduce_q(self, vec):
+        w, lam = self._integral(vec)
+        return {j: Fraction(x, lam) for j, x in w.items()}
+
+    def _insert_q(self, v) -> bool:
+        return self._store(_over_common_denominator(v)[0])
+
+    def _store(self, w) -> bool:
+        """Store a reduced integer vector, made primitive with a positive
+        pivot, as a pivot row; False if it is zero."""
+        if not w:
+            return False
+        col = min(w)
+        g = reduce(gcd, w.values(), 0)
+        if w[col] < 0:
+            g = -g
+        self.lead[col] = w[col] // g
+        self.pivots[col] = [(j, -x // g) for j, x in sorted(w.items()) if j != col]
+        bisect.insort(self.cols, col)
+        return True
+
+    def _rows_q(self):
+        one = self.field.one
+        return [
+            {col: one, **{j: Fraction(b, -self.lead[col]) for j, b in self.pivots[col]}}
+            for col in self.cols
+        ]
+
+
+def _over_common_denominator(vec):
+    """(w, lam): integers w and the least positive lam with vec = w/lam, for
+    a vector of Fractions or ints; no Fraction is built."""
+    # pairwise here and in `_store`, as in `groebner._reducer`: the argument
+    # tuples of lcm(*...) and gcd(*...) left about 0.8 MB more resident
+    # memory on qci-q
+    lam = reduce(lcm, (a.denominator for a in vec.values()), 1)
+    return {j: a.numerator * (lam // a.denominator) for j, a in vec.items()}, lam
 
 
 def make_echelon(field, width: int):

@@ -24,20 +24,6 @@ def mono_mul(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def mono_divides(a, b) -> bool:
-    """a | b componentwise."""
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def mono_lcm(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
-
-
 def monomial_count(t: int) -> int:
     """Number of monomials of degree t in three variables."""
     return (t + 1) * (t + 2) // 2 if t >= 0 else 0

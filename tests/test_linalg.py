@@ -1,11 +1,15 @@
 """`linalg`'s sparse echelon against a textbook dense elimination, and the
 cofactor solve built on it."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcisyz import linalg
 from qcisyz.errors import InvariantError
 from qcisyz.fields import QQ, PrimeField
 from qcisyz.linalg import cofactors, make_echelon
@@ -16,13 +20,18 @@ from qcisyz.poly import add_terms
 FIELDS = [PrimeField(7), PrimeField(32003), QQ]
 
 
+BIG = Fraction(2**61 - 1, 3**20)
+
+
 def _entries(field):
     """1, 2, p - 1 and p - 2 over GF(p), so that sums of them vanish mod p
-    but not as integers; 1, 2, -1, -2 and 1/2 over Q."""
+    but not as integers; 1, 2, -1, -2 and 1/2 over Q, with +-(2^61 - 1)/3^20
+    and its inverse, so that the integers of the fraction-free elimination
+    grow."""
     if field.prime:
         p = field.prime
         return [1, 2, p - 1, p - 2]
-    return [Fraction(1), Fraction(2), Fraction(-1), Fraction(-2), Fraction(1, 2)]
+    return [Fraction(1), Fraction(2), Fraction(-1), Fraction(-2), Fraction(1, 2), BIG, -BIG, 1 / BIG]
 
 
 @st.composite
@@ -46,50 +55,111 @@ def _stream(draw):
     return field, width, vecs
 
 
-def _dense_echelon(field, width, vecs):
-    """Each vector reduced by every kept row in increasing pivot column, one
-    field operation per entry; a nonzero result is scaled to pivot 1 and
-    kept. Returns the kept rows by pivot column, as dense lists."""
-    kept = {}
-    for vec in vecs:
-        v = [field.zero] * width
-        for j, c in vec.items():
-            v[j] = c
-        for col in sorted(kept):
-            c = v[col]
-            if c != field.zero:
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, kept[col])]
-        nonzero = [j for j, a in enumerate(v) if a != field.zero]
-        if nonzero:
-            inv = field.inv(v[nonzero[0]])
-            kept[nonzero[0]] = [field.mul(a, inv) for a in v]
-    return [kept[col] for col in sorted(kept)]
+def _dense_reduce(field, width, kept, vec):
+    """vec reduced by every row of kept ({pivot column: dense row with pivot
+    1}) in increasing pivot column, one field operation per entry."""
+    v = [field.zero] * width
+    for j, c in vec.items():
+        v[j] = c
+    for col in sorted(kept):
+        c = v[col]
+        if c != field.zero:
+            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, kept[col])]
+    return v
 
 
 @settings(max_examples=200, deadline=None)
 @given(_stream())
 def test_sparse_echelon_matches_dense_elimination(stream):
+    """Each vector's reduction is the dense one, entry for entry, and is
+    kept, scaled to pivot 1, when it is nonzero."""
     field, width, vecs = stream
     ech = make_echelon(field, width)
-    ranks = []
+    kept = {}
     for vec in vecs:
-        before = ech.rank
-        assert ech.add(vec) == (ech.rank == before + 1)
-        ranks.append(ech.rank)
-    expected = _dense_echelon(field, width, vecs)
-    assert ech.rank == len(expected)
+        v = _dense_reduce(field, width, kept, vec)
+        reduced = {j: a for j, a in enumerate(v) if a != field.zero}
+        assert ech.reduce(vec) == reduced
+        if reduced:
+            inv = field.inv(reduced[min(reduced)])
+            kept[min(reduced)] = [field.mul(a, inv) for a in v]
+        assert ech.add(vec) == bool(reduced)
+        assert ech.rank == len(kept)
     rows = ech.rows()
-    assert [[row.get(j, field.zero) for j in range(width)] for row in rows] == expected
-    for row in rows:
+    assert [[row.get(j, field.zero) for j in range(width)] for row in rows] == [
+        kept[col] for col in sorted(kept)
+    ]
+    for col, row in zip(sorted(kept), rows):
         assert all(c != field.zero for c in row.values())
         if field.prime:
             assert all(type(c) is int and 1 <= c < field.prime for c in row.values())
+        else:
+            assert type(row[col]) is Fraction and row[col] == 1
         assert ech.reduce(row) == {}
     if field.prime:
         for tail in ech.pivots.values():
             assert all(type(c) is int and 1 <= c < field.prime for _, c in tail)
-    # the rank after each add is the rank of the dense elimination's prefix
-    assert ranks == [len(_dense_echelon(field, width, vecs[: i + 1])) for i in range(len(vecs))]
+    else:
+        # over Q a pivot row is kept as the primitive integer vector with a
+        # positive pivot
+        for col, tail in ech.pivots.items():
+            entries = [ech.lead[col], *(b for _, b in tail)]
+            assert all(type(c) is int and c for c in entries)
+            assert ech.lead[col] > 0 and gcd(*entries) == 1
+
+
+class _Counted(Fraction):
+    """A Fraction that counts the Fractions built through its class and the
+    arithmetic done on its instances."""
+
+    built = ops = 0
+
+    def __new__(cls, *args, **kwargs):
+        _Counted.built += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def _counting(name):
+    op = getattr(Fraction, name)
+
+    def counted(self, *args):
+        _Counted.ops += 1
+        return op(self, *args)
+
+    return counted
+
+
+for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "neg"):
+    setattr(_Counted, f"__{_name}__", _counting(f"__{_name}__"))
+
+
+def test_the_eliminator_over_q_does_no_fraction_arithmetic(monkeypatch):
+    """Over Q, add on integer-valued vectors builds no Fraction, and reduce
+    builds one per entry of its result; neither does arithmetic on the
+    Fractions it is given."""
+    monkeypatch.setattr(linalg, "Fraction", _Counted)
+    rng = random.Random(7)
+    width = 14
+    nonzero = [c for c in range(-9, 10) if c]
+    ints = [{j: rng.choice(nonzero) for j in rng.sample(range(width), 7)} for _ in range(8)]
+    total = Counter(ints[0])
+    total.update(ints[1])
+    ints.append(total)  # dependent on the first two
+    integral = [{j: _Counted(c) for j, c in v.items() if c} for v in ints]
+    rational = [
+        {j: _Counted(rng.choice(nonzero), rng.randint(2, 9)) for j in rng.sample(range(width), 7)}
+        for _ in range(6)
+    ]
+    ech = make_echelon(QQ, width)
+    _Counted.built = _Counted.ops = 0
+    for vec in integral:
+        ech.add(vec)
+    assert ech.rank == 8
+    assert (_Counted.built, _Counted.ops) == (0, 0)
+    for vec in rational:
+        out = ech.reduce(vec)
+        assert out and _Counted.built <= len(out) and _Counted.ops == 0
+        _Counted.built = 0
 
 
 def test_a_column_that_vanishes_only_mod_p_is_no_pivot():

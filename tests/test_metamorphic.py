@@ -136,6 +136,27 @@ def test_curve_invariants_survive_rational_rescaling_over_q(name, scale):
     assert invariants(QciInput.curve(inp.polys[0].scale(scale))) == invariants(inp)
 
 
+# rationals far past a machine word, and the diagonal change x -> (10^9 + 7)/3 * x
+HUGE_SCALES = (Fraction(2**61 - 1, 3**20), Fraction(-(3**40), 10**9 + 7), Fraction(5**27, 2**67 + 3))
+DILATION = Fraction(10**9 + 7, 3)
+
+
+@pytest.mark.parametrize(
+    "inp",
+    [catalog_entry("lines-5").input_over(QQ), random_qci(3, QQ, 20260826)],
+    ids=["lines-5", "s3-draw"],
+)
+def test_invariants_survive_huge_rational_coefficients_over_q(inp):
+    # the fraction-free eliminator's integers grow to a few hundred bits here
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    forms = [Polynomial.from_terms(QQ, [(e, c)]) for e, c in zip(basis, (DILATION, QQ.one, QQ.one))]
+    moved = [substitute(f, forms).scale(c) for f, c in zip(inp.polys, HUGE_SCALES)]
+    if inp.mode == "curve":
+        assert invariants(QciInput.curve(moved[0])) == invariants(inp)
+    else:
+        assert invariants(QciInput.triple(*moved)) == invariants(inp)
+
+
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
 def test_catalog_invariants_do_not_depend_on_the_field(entry):
     # the catalog's integer equations over two primes and the rationals
